@@ -278,7 +278,6 @@ _CONFIG_KEYS = {
     "model.kind",
     "model.eta",
     "model.density",
-    "model.seed",
     "design.epsilon",
     "design.gamma",
     "design.t_mode",
@@ -315,7 +314,6 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
         kind=raw.get("model.kind", "gmrf"),
         eta=float(raw.get("model.eta", 0.1)),
         density=float(raw.get("model.density", 0.125)),
-        seed=int(raw.get("model.seed", 0)),
     )
     eps_raw = raw.get("design.epsilon", "auto")
     epsilon = default_radius(n, num_samples) if eps_raw == "auto" else float(eps_raw)

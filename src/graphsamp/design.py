@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-T_MODES = ("zero", "identity")
+from .seeds import _UINT64_MASK
 
-_UINT64_MASK = (1 << 64) - 1
+T_MODES = ("zero", "identity")
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,10 @@ class DesignConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if self.t_mode not in T_MODES:
             raise ValueError(f"t_mode must be one of {T_MODES}, got {self.t_mode!r}")
         if not 0.0 < self.stop_tol < 1.0:
@@ -104,6 +104,11 @@ def numerical_rank(M: np.ndarray, rank_tol: float = 1e-10) -> int:
     s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
     if s.size == 0 or s[0] <= 0.0:
         return 0
+    return _rank_from_singular_values(s, rank_tol)
+
+
+def _rank_from_singular_values(s: np.ndarray, rank_tol: float) -> int:
+    """Count the descending singular values ``s`` above ``rank_tol * s[0]``."""
     return int(np.count_nonzero(s > rank_tol * s[0]))
 
 
@@ -140,7 +145,7 @@ def _subgradient_from_svd(U, s, Vt, t_mode, rank_tol):
         )
     if t_mode == "identity":
         return U @ Vt
-    rank = int(np.count_nonzero(s > rank_tol * s[0]))
+    rank = _rank_from_singular_values(s, rank_tol)
     return U[:, :rank] @ Vt[:rank, :]
 
 

@@ -25,6 +25,12 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _finite(values: np.ndarray, path) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: non-finite value (nan or inf)")
+    return values
+
+
 def save_graph(graph: Graph, path) -> None:
     lines = [f"n {graph.num_vertices}"]
     if graph.coordinates is not None:
@@ -84,7 +90,7 @@ def load_matrix(path) -> np.ndarray:
             f"{path}: expected {rows * cols} entries for a {rows}x{cols} matrix, "
             f"found {len(body)}"
         )
-    return np.array([float(tok) for tok in body]).reshape(rows, cols)
+    return _finite(np.array([float(tok) for tok in body]).reshape(rows, cols), path)
 
 
 def save_signal(x: np.ndarray, path) -> None:
@@ -104,7 +110,7 @@ def load_signal(path) -> np.ndarray:
     length = int(header[1])
     if len(lines) - 1 != length:
         raise ValueError(f"{path}: expected {length} values, found {len(lines) - 1}")
-    return np.array([float(ln) for ln in lines[1:]])
+    return _finite(np.array([float(ln) for ln in lines[1:]]), path)
 
 
 def save_trace_csv(design: SamplingDesign, path) -> None:

@@ -8,9 +8,9 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-MAX_PLACEMENT_ATTEMPTS = 50
+from .seeds import _UINT64_MASK
 
-_UINT64_MASK = (1 << 64) - 1
+MAX_PLACEMENT_ATTEMPTS = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +55,8 @@ class Graph:
                 raise ValueError(
                     f"coordinates must have shape ({n}, 2), got {coords.shape}"
                 )
+            if not np.all(np.isfinite(coords)):
+                raise ValueError("coordinates must be finite")
             object.__setattr__(self, "coordinates", coords)
         if _component_count(n, [(u, v) for u, v, _ in canonical]) != 1:
             raise ValueError("graph is not connected")
@@ -81,16 +83,23 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def _component_count(n: int, pairs: list[tuple[int, int]]) -> int:
-    if n == 1:
-        return 1
-    if not pairs:
-        return n
-    rows = np.fromiter((u for u, _ in pairs), dtype=np.intp, count=len(pairs))
-    cols = np.fromiter((v for _, v in pairs), dtype=np.intp, count=len(pairs))
-    adjacency = coo_matrix((np.ones(len(pairs)), (rows, cols)), shape=(n, n))
+def _component_count(n: int, pairs) -> int:
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    adjacency = coo_matrix(
+        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
+    )
     count, _ = connected_components(adjacency, directed=False)
     return int(count)
+
+
+def _nearest_neighbours(dist: np.ndarray, k: int) -> np.ndarray:
+    """Each vertex's k nearest other vertices, nearest first, ties by lowest index.
+
+    Sets the diagonal of ``dist`` to infinity in place: a stable sort then
+    places each vertex after all others, so no row has to drop its own index.
+    """
+    np.fill_diagonal(dist, np.inf)
+    return np.argsort(dist, axis=1, kind="stable")[:, :k]
 
 
 def random_sensor_graph(n: int, k: int, seed: int) -> Graph:
@@ -116,30 +125,18 @@ def random_sensor_graph(n: int, k: int, seed: int) -> Graph:
         points = rng.random((n, 2))
         delta = points[:, None, :] - points[None, :, :]
         dist = np.sqrt(np.sum(delta * delta, axis=2))
-        pair_set: set[tuple[int, int]] = set()
-        knn_dists = []
-        index = np.arange(n)
-        for u in range(n):
-            order = np.lexsort((index, dist[u]))
-            picked = 0
-            for v in order:
-                if v == u:
-                    continue
-                pair_set.add((u, v) if u < v else (v, u))
-                knn_dists.append(dist[u, v])
-                picked += 1
-                if picked == k:
-                    break
-        sigma = float(np.mean(knn_dists))
+        del delta
+        rows = np.repeat(np.arange(n), k)
+        cols = _nearest_neighbours(dist, k).ravel()
+        sigma = float(np.mean(dist[rows, cols]))
         if sigma <= 0.0:
             continue  # coincident placement; resample
-        pairs = sorted(pair_set)
-        if _component_count(n, pairs) != 1:
+        keys = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
+        lo, hi = np.divmod(keys, n)
+        if _component_count(n, np.column_stack((lo, hi))) != 1:
             continue
-        edges = [
-            (u, v, float(np.exp(-dist[u, v] ** 2 / (2.0 * sigma**2))))
-            for u, v in pairs
-        ]
+        weights = np.exp(-dist[lo, hi] ** 2 / (2.0 * sigma**2))
+        edges = list(zip(lo.tolist(), hi.tolist(), weights.tolist()))
         return Graph(num_vertices=n, edges=edges, coordinates=points)
     raise RuntimeError(
         f"failed to draw a connected sensor graph in {MAX_PLACEMENT_ATTEMPTS} "

@@ -14,8 +14,8 @@ class ReconstructionPipeline:
     """Precomputed operators mapping samples back to a full signal.
 
     ``prior_matrix`` solves the smoothness-weighted normal system for
-    the sampling matrix; ``synthesis_matrix`` equals it in the
-    unconstrained case. ``correction`` is the inverse of
+    the sampling matrix and also synthesizes the reconstruction, whose
+    range is its column space. ``correction`` is the inverse of
     ``sampling_matrix.T @ prior_matrix``, or its Moore-Penrose
     pseudo-inverse when that product is numerically singular (flagged by
     ``used_pseudo_inverse``).
@@ -23,7 +23,6 @@ class ReconstructionPipeline:
 
     sampling_matrix: np.ndarray
     prior_matrix: np.ndarray
-    synthesis_matrix: np.ndarray
     correction: np.ndarray
     used_pseudo_inverse: bool
 
@@ -38,7 +37,7 @@ class ReconstructionPipeline:
             raise ValueError(
                 f"expected {self.num_samples} samples, got shape {c.shape}"
             )
-        return self.synthesis_matrix @ (self.correction @ c)
+        return self.prior_matrix @ (self.correction @ c)
 
 
 def build_pipeline(
@@ -51,6 +50,10 @@ def build_pipeline(
     ``inv(S.T @ Q)`` when the smallest singular value of that product
     stays above ``inv_tol`` relative to the largest, and the
     pseudo-inverse with the same cutoff otherwise.
+
+    Raises:
+        ValueError: if the sampling matrix has the wrong shape or a
+            non-finite entry.
     """
     if not inv_tol > 0:
         raise ValueError(f"inv_tol must be positive, got {inv_tol}")
@@ -59,6 +62,8 @@ def build_pipeline(
         raise ValueError(
             f"sampling matrix must have {vo.dim} rows, got shape {S.shape}"
         )
+    if not np.all(np.isfinite(S)):
+        raise ValueError("sampling matrix has non-finite entries")
     prior = vo.solve_gram(S)
     product = S.T @ prior
     sv = np.linalg.svd(product, compute_uv=False)
@@ -71,7 +76,6 @@ def build_pipeline(
     return ReconstructionPipeline(
         sampling_matrix=S,
         prior_matrix=prior,
-        synthesis_matrix=prior,
         correction=correction,
         used_pseudo_inverse=used_pinv,
     )

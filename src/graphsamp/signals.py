@@ -15,14 +15,12 @@ MODEL_KINDS = ("gmrf", "pwl")
 class SignalModelSpec:
     """Which signal model to draw from and with what parameters.
 
-    ``eta`` applies to the 'gmrf' kind, ``density`` to 'pwl'; ``seed``
-    is the default stream when the caller does not pass one explicitly.
+    ``eta`` applies to the 'gmrf' kind, ``density`` to 'pwl'.
     """
 
     kind: str
     eta: float = 0.1
     density: float = 0.125
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
@@ -82,10 +80,9 @@ def generate_signal(
     graph: Graph,
     spectrum: Spectrum,
     lap: np.ndarray,
-    seed: int | None = None,
+    seed: int,
 ) -> np.ndarray:
-    """Draw one signal from the configured model family."""
-    stream = model.seed if seed is None else seed
+    """Draw one signal from the configured model family with the given seed."""
     if model.kind == "gmrf":
-        return gmrf_signal(spectrum, model.eta, stream)
-    return pwl_signal(graph, lap, model.density, stream)
+        return gmrf_signal(spectrum, model.eta, seed)
+    return pwl_signal(graph, lap, model.density, seed)

@@ -11,20 +11,10 @@ from .graphs import Spectrum
 
 @dataclass(frozen=True)
 class SpectralResponse:
-    """Scalar response applied to Laplacian eigenvalues.
-
-    Only the affine kind ``slope * lam + offset`` is implemented; the
-    kind tag exists so other response families can be added without
-    changing call sites.
-    """
+    """Affine scalar response ``slope * lam + offset`` applied to Laplacian eigenvalues."""
 
     slope: float = 1.0
     offset: float = 0.0
-    kind: str = "affine"
-
-    def __post_init__(self) -> None:
-        if self.kind != "affine":
-            raise ValueError(f"unsupported spectral response kind {self.kind!r}")
 
     def __call__(self, eigenvalues) -> np.ndarray:
         return self.slope * np.asarray(eigenvalues, dtype=float) + self.offset
@@ -32,31 +22,41 @@ class SpectralResponse:
 
 @dataclass(frozen=True, eq=False)
 class VariationOperator:
-    """Invertible operator measuring signal variation, with SVD factors.
+    """Invertible operator measuring signal variation, stored as its SVD factors.
 
     The operator is symmetric positive definite by construction, so its
-    left and right singular bases coincide:
-    ``matrix = singular_vectors @ diag(singular_values) @ singular_vectors.T``
-    with singular values descending. ``whitener`` is
-    ``diag(1 / singular_values) @ singular_vectors.T`` and satisfies
-    ``whitener.T @ whitener == inv(matrix.T @ matrix)``.
+    left and right singular bases coincide and only
+    ``singular_values`` (descending) and the orthogonal
+    ``singular_vectors`` are stored. ``matrix`` is
+    ``singular_vectors @ diag(singular_values) @ singular_vectors.T``
+    and ``whitener`` is ``diag(1 / singular_values) @ singular_vectors.T``,
+    which satisfies ``whitener.T @ whitener == inv(matrix.T @ matrix)``;
+    both are assembled on each access.
     """
 
-    matrix: np.ndarray
     singular_values: np.ndarray
     singular_vectors: np.ndarray
-    whitener: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.singular_values.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense operator ``V diag(sigma) V.T``."""
+        return (self.singular_vectors * self.singular_values) @ self.singular_vectors.T
+
+    @property
+    def whitener(self) -> np.ndarray:
+        """Dense whitening factor ``diag(1 / sigma) V.T``."""
+        return self.singular_vectors.T / self.singular_values[:, None]
 
     def whiten(self, S: np.ndarray) -> np.ndarray:
-        """Apply the whitening factor: ``whitener @ S``."""
+        """Apply the whitening factor, ``whitener @ S``, as a rotation then a row scaling."""
         S = np.asarray(S, dtype=float)
         if S.shape[0] != self.dim:
             raise ValueError(f"expected {self.dim} rows, got shape {S.shape}")
-        return self.whitener @ S
+        return (self.singular_vectors.T @ S) / self.singular_values[:, None]
 
     def solve_gram(self, B: np.ndarray) -> np.ndarray:
         """Solve ``(matrix.T @ matrix) X = B`` through the spectral factors."""
@@ -105,12 +105,7 @@ def build_variation_operator(
     sing_vals = values[order]
     if sing_vals[-1] <= 1e-12 * sing_vals[0]:
         raise ValueError("variation operator is numerically singular")
-    sing_vecs = np.array(spectrum.eigenvectors[:, order])
-    matrix = (sing_vecs * sing_vals) @ sing_vecs.T
-    whitener = sing_vecs.T / sing_vals[:, None]
     return VariationOperator(
-        matrix=matrix,
         singular_values=sing_vals,
-        singular_vectors=sing_vecs,
-        whitener=whitener,
+        singular_vectors=spectrum.eigenvectors[:, order],
     )

@@ -183,7 +183,7 @@ def test_criterion_03_perfect_reconstruction():
     rng = np.random.default_rng(30)
     worst = 0.0
     for _ in range(50):
-        x = pipeline.synthesis_matrix @ rng.standard_normal(8)
+        x = pipeline.prior_matrix @ rng.standard_normal(8)
         x_hat = pipeline.reconstruct(sample(design.matrix, x))
         worst = max(worst, np.linalg.norm(x_hat - x) / np.linalg.norm(x))
     ok = worst <= 1e-8

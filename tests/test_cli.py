@@ -91,6 +91,27 @@ class TestReconstructCommand:
         assert printed.startswith("mse ")
         assert float(printed.split()[1]) >= 0.0
 
+    def test_nan_signal_file_fails(self, tmp_path, graph_file, capsys):
+        g, gpath = graph_file
+        out = tmp_path / "design"
+        assert main(["design", "--graph", str(gpath), "--k", "6", "--out-dir", str(out)]) == 0
+        capsys.readouterr()  # drain the design command output
+        xpath = tmp_path / "x.txt"
+        xpath.write_text("n 24\n" + "0.5\n" * 23 + "nan\n")
+        rc = main(
+            [
+                "reconstruct",
+                "--graph", str(gpath),
+                "--sampling", str(out / "S.txt"),
+                "--signal", str(xpath),
+                "--out-dir", str(tmp_path / "rec"),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "mse" not in captured.out
+        assert captured.err.startswith(f"error: {xpath}: non-finite")
+
 
 class TestBenchCommand:
     def test_bench_writes_reports(self, tmp_path, capsys):

@@ -148,10 +148,14 @@ class TestDesignConfig:
             {"epsilon": 1.0, "rank_tol": 1e-3},
             {"epsilon": 1.0, "max_iter": 0},
             {"epsilon": 1.0, "seed": -1},
+            {"epsilon": float("inf")},
+            {"epsilon": float("nan")},
+            {"epsilon": 1.0, "gamma": float("inf")},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        field = next((key for key in kwargs if key != "epsilon"), "epsilon")
+        with pytest.raises(ValueError, match=field):
             DesignConfig(**kwargs)
 
 

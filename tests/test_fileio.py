@@ -51,6 +51,12 @@ class TestGraphFormat:
         with pytest.raises(ValueError, match="header"):
             load_graph(path)
 
+    def test_nan_coordinate_rejected(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("n 2\ncoords\n0.0 0.0\nnan 1.0\n0 1 1.0\n")
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            load_graph(path)
+
     def test_bad_edge_line_rejected(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("n 2\n0 1\n")
@@ -77,6 +83,13 @@ class TestMatrixFormat:
         with pytest.raises(ValueError, match="entries"):
             load_matrix(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_rejected(self, tmp_path, bad):
+        path = tmp_path / "m.txt"
+        path.write_text(f"2 2\n1.0 2.0\n{bad} 3.0\n")
+        with pytest.raises(ValueError, match=f"{path}: non-finite"):
+            load_matrix(path)
+
 
 class TestSignalFormat:
     def test_round_trip_exact(self, tmp_path):
@@ -94,6 +107,13 @@ class TestSignalFormat:
         path = tmp_path / "x.txt"
         path.write_text("n 3\n1.0\n2.0\n")
         with pytest.raises(ValueError, match="expected 3"):
+            load_signal(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        path = tmp_path / "x.txt"
+        path.write_text(f"n 3\n1.0\n{bad}\n2.0\n")
+        with pytest.raises(ValueError, match=f"{path}: non-finite"):
             load_signal(path)
 
 
@@ -161,6 +181,11 @@ class TestExperimentConfigFile:
         path.write_text("n 32\nk 8\nnn_k 4\n")
         with pytest.raises(ValueError, match="unknown config key"):
             load_experiment_config(path)
+
+    def test_model_seed_key_rejected(self):
+        """Signals always draw from the trial's own stream, so no model seed is read."""
+        with pytest.raises(ValueError, match="unknown config keys: model.seed"):
+            config_from_mapping({"n": "32", "k": "8", "model.seed": "4"})
 
     def test_missing_required_rejected(self):
         with pytest.raises(ValueError, match="missing required"):

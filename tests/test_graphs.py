@@ -4,12 +4,39 @@ Ground truth:
 - Path graph P2: Laplacian [[1,-1],[-1,1]], spectrum {0, 2}.
 - Diagonal matrices: spectrum read off the diagonal.
 - Any Laplacian: zero row sums, PSD, constant null vector.
+- k-NN selection: a per-vertex ``lexsort`` loop, kept here as the reference.
 """
 
 import numpy as np
 import pytest
 
 from graphsamp import Graph, eigendecompose, laplacian, random_sensor_graph
+from graphsamp.graphs import _nearest_neighbours
+
+
+def _distances(points):
+    delta = points[:, None, :] - points[None, :, :]
+    return np.sqrt(np.sum(delta * delta, axis=2))
+
+
+def _reference_neighbours(dist, k):
+    """Per vertex: sort by (distance, index), skip itself, keep the first k."""
+    n = dist.shape[0]
+    index = np.arange(n)
+    picked = []
+    for u in range(n):
+        order = [v for v in np.lexsort((index, dist[u])) if v != u]
+        picked.append(order[:k])
+    return np.array(picked)
+
+
+def _reference_edges(points, k):
+    """Edge list of the sensor graph on ``points``, built pair by pair."""
+    dist = _distances(points)
+    nbrs = _reference_neighbours(dist, k)
+    pairs = sorted({(min(u, v), max(u, v)) for u in range(len(points)) for v in nbrs[u]})
+    sigma = float(np.mean([dist[u, v] for u in range(len(points)) for v in nbrs[u]]))
+    return [(u, v, float(np.exp(-dist[u, v] ** 2 / (2.0 * sigma**2)))) for u, v in pairs]
 
 
 class TestGraphValidation:
@@ -49,6 +76,11 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="coordinates"):
             Graph(2, [(0, 1, 1.0)], coordinates=np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            Graph(2, [(0, 1, 1.0)], coordinates=np.array([[0.0, 0.0], [bad, 1.0]]))
+
     def test_weight_matrix_symmetric(self):
         g = Graph(3, [(0, 1, 2.0), (1, 2, 0.5)])
         W = g.weight_matrix()
@@ -82,6 +114,32 @@ class TestRandomSensorGraph:
         a = random_sensor_graph(64, 6, seed=1)
         b = random_sensor_graph(64, 6, seed=2)
         assert a.edges != b.edges
+
+    @pytest.mark.parametrize("n,k", [(16, 3), (32, 4), (64, 6), (256, 6), (20, 19)])
+    def test_matches_per_vertex_reference(self, n, k):
+        """Same edge set as the per-vertex lexsort loop; weights to rtol 1e-14."""
+        for seed in range(3):
+            g = random_sensor_graph(n, k, seed=seed)
+            expected = _reference_edges(g.coordinates, k)
+            assert [(u, v) for u, v, _ in g.edges] == [(u, v) for u, v, _ in expected]
+            np.testing.assert_allclose(
+                [w for _, _, w in g.edges], [w for _, _, w in expected], rtol=1e-14, atol=0
+            )
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 8, 15])
+    def test_lattice_ties_break_by_lowest_index(self, k):
+        """On a 4x4 grid most distances tie exactly; the order must match the reference."""
+        grid = np.array([(i, j) for i in range(4) for j in range(4)], dtype=float) / 4
+        dist = _distances(grid)
+        expected = _reference_neighbours(dist, k)
+        np.testing.assert_array_equal(_nearest_neighbours(dist, k), expected)
+
+    def test_coincident_points_keep_lowest_index_first(self):
+        points = np.array([[0.5, 0.5], [0.5, 0.5], [0.1, 0.1], [0.5, 0.5]])
+        dist = _distances(points)
+        expected = _reference_neighbours(dist, 2)
+        np.testing.assert_array_equal(_nearest_neighbours(dist, 2), expected)
+        np.testing.assert_array_equal(expected[3], [0, 1])
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):

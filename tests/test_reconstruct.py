@@ -39,7 +39,6 @@ class TestBuildPipeline:
         S = _selection(5, (0, 2, 4))
         p = build_pipeline(vo, S)
         np.testing.assert_allclose(p.prior_matrix, S, atol=1e-12)
-        np.testing.assert_allclose(p.synthesis_matrix, S, atol=1e-12)
         np.testing.assert_allclose(p.correction, np.eye(3), atol=1e-12)
         assert not p.used_pseudo_inverse
 
@@ -60,11 +59,13 @@ class TestBuildPipeline:
         p = build_pipeline(vo, S)
         np.testing.assert_allclose(p.prior_matrix, expected, rtol=1e-8, atol=1e-12)
 
-    def test_synthesis_equals_prior(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sampling_matrix_rejected(self, bad):
         vo = _sensor_operator(12, seed=2)
         S = np.random.RandomState(2).randn(12, 3)
-        p = build_pipeline(vo, S)
-        assert np.max(np.abs(p.synthesis_matrix - p.prior_matrix)) <= 1e-10
+        S[4, 1] = bad
+        with pytest.raises(ValueError, match="sampling matrix has non-finite"):
+            build_pipeline(vo, S)
 
     def test_correction_inverts_product(self):
         vo = _sensor_operator(12, seed=3)
@@ -110,7 +111,7 @@ class TestReconstruct:
         p = build_pipeline(vo, S)
         assert not p.used_pseudo_inverse
         for _ in range(10):
-            x = p.synthesis_matrix @ rng.randn(6)
+            x = p.prior_matrix @ rng.randn(6)
             x_hat = p.reconstruct(sample(S, x))
             assert np.linalg.norm(x_hat - x) <= 1e-8 * np.linalg.norm(x)
 

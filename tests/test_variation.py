@@ -23,10 +23,6 @@ class TestSpectralResponse:
         resp = SpectralResponse(2.0, 0.5)
         np.testing.assert_allclose(resp(np.array([0.0, 1.0])), [0.5, 2.5])
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            SpectralResponse(1.0, 0.1, kind="polynomial")
-
 
 class TestBuildVariationOperator:
     def test_p2_response_eigenvalues(self):
