@@ -11,6 +11,7 @@ stream mixing, so a benchmark run is reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,11 @@ def default_radius(n: int, num_samples: int) -> float:
     return float(np.sqrt(n * num_samples))
 
 
+def parse_radius(text: str, n: int, num_samples: int) -> float:
+    """Frobenius radius from its text: a number, or 'auto' for ``default_radius``."""
+    return default_radius(n, num_samples) if text == "auto" else float(text)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one benchmark run."""
@@ -46,8 +52,8 @@ class ExperimentConfig:
     n: int
     num_samples: int
     graph_k: int = 6
-    response: SpectralResponse = field(default_factory=lambda: SpectralResponse(1.0, 0.1))
-    model: SignalModelSpec = field(default_factory=lambda: SignalModelSpec("gmrf"))
+    response: SpectralResponse = field(default_factory=SpectralResponse)
+    model: SignalModelSpec = field(default_factory=SignalModelSpec)
     design: DesignConfig | None = None
     trials: int = 1
     baseline: str = METHOD_RANDOM_VERTEX
@@ -264,28 +270,6 @@ def write_report(report: ExperimentReport, out_dir) -> tuple[Path, Path]:
     return trials_path, summary_path
 
 
-_CONFIG_KEYS = {
-    "n",
-    "k",
-    "graph_k",
-    "trials",
-    "master_seed",
-    "baseline",
-    "fixed_graph",
-    "output_dir",
-    "response.slope",
-    "response.offset",
-    "model.kind",
-    "model.eta",
-    "model.density",
-    "design.epsilon",
-    "design.gamma",
-    "design.t_mode",
-    "design.stop_tol",
-    "design.max_iter",
-    "design.rank_tol",
-}
-
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
@@ -296,47 +280,64 @@ def _parse_bool(raw: str) -> bool:
     return _BOOL_WORDS[word]
 
 
+# config key -> parser of its text; a 'section.name' key sets field
+# ``name`` of ExperimentConfig's ``section`` member, a key missing from a
+# config takes that dataclass's default, and 'design.epsilon' is resolved
+# by ``parse_radius`` once n and k are known
+_CONFIG_PARSERS = {
+    "n": int,
+    "k": int,
+    "graph_k": int,
+    "trials": int,
+    "master_seed": int,
+    "baseline": str,
+    "fixed_graph": _parse_bool,
+    "output_dir": str,
+    "response.slope": float,
+    "response.offset": float,
+    "model.kind": str,
+    "model.eta": float,
+    "model.density": float,
+    "design.epsilon": str,
+    "design.gamma": float,
+    "design.stop_tol": float,
+    "design.max_iter": int,
+}
+
+
+def _parse_value(key: str, parse, text: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"config key {key}: {exc}") from exc
+
+
 def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     """Build an ExperimentConfig from flat string key-value pairs."""
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    unknown = sorted(set(raw) - set(_CONFIG_PARSERS))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     for required in ("n", "k"):
         if required not in raw:
             raise ValueError(f"config is missing required key {required!r}")
-    n = int(raw["n"])
-    num_samples = int(raw["k"])
-    response = SpectralResponse(
-        slope=float(raw.get("response.slope", 1.0)),
-        offset=float(raw.get("response.offset", 0.1)),
-    )
-    model = SignalModelSpec(
-        kind=raw.get("model.kind", "gmrf"),
-        eta=float(raw.get("model.eta", 0.1)),
-        density=float(raw.get("model.density", 0.125)),
-    )
-    eps_raw = raw.get("design.epsilon", "auto")
-    epsilon = default_radius(n, num_samples) if eps_raw == "auto" else float(eps_raw)
-    design = DesignConfig(
-        epsilon=epsilon,
-        gamma=float(raw.get("design.gamma", 1.0)),
-        t_mode=raw.get("design.t_mode", "zero"),
-        stop_tol=float(raw.get("design.stop_tol", 1e-5)),
-        max_iter=int(raw.get("design.max_iter", 10000)),
-        rank_tol=float(raw.get("design.rank_tol", 1e-10)),
+    parsed: dict[str, dict] = {"": {}, "response": {}, "model": {}, "design": {}}
+    for key, text in raw.items():
+        section, _, name = key.rpartition(".")
+        parsed[section][name] = _parse_value(key, _CONFIG_PARSERS[key], text)
+    top, design = parsed[""], parsed["design"]
+    n, num_samples = top.pop("n"), top.pop("k")
+    design["epsilon"] = _parse_value(
+        "design.epsilon",
+        partial(parse_radius, n=n, num_samples=num_samples),
+        design.get("epsilon", "auto"),
     )
     return ExperimentConfig(
         n=n,
         num_samples=num_samples,
-        graph_k=int(raw.get("graph_k", 6)),
-        response=response,
-        model=model,
-        design=design,
-        trials=int(raw.get("trials", 1)),
-        baseline=raw.get("baseline", METHOD_RANDOM_VERTEX),
-        master_seed=int(raw.get("master_seed", 0)),
-        output_dir=raw.get("output_dir"),
-        fixed_graph=_parse_bool(raw.get("fixed_graph", "false")),
+        response=SpectralResponse(**parsed["response"]),
+        model=SignalModelSpec(**parsed["model"]),
+        design=DesignConfig(**design),
+        **top,
     )
 
 

@@ -6,8 +6,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import default_radius, load_experiment_config, mse, run_benchmark
-from .design import T_MODES, DesignConfig, design_sampling_operator
+from .bench import ExperimentConfig, load_experiment_config, mse, parse_radius, run_benchmark
+from .design import DesignConfig, design_sampling_operator
 from .fileio import (
     load_graph,
     load_matrix,
@@ -27,7 +27,8 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--graph", help="graph file; omit to generate a sensor graph")
     parser.add_argument("--n", type=int, help="vertex count for a generated graph")
     parser.add_argument(
-        "--graph-k", type=int, default=6, help="k-NN parameter for a generated graph"
+        "--graph-k", type=int, default=ExperimentConfig.graph_k,
+        help="k-NN parameter for a generated graph",
     )
     parser.add_argument(
         "--graph-seed", type=int, default=0, help="seed for a generated graph"
@@ -35,8 +36,8 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_response(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--response-slope", type=float, default=1.0)
-    parser.add_argument("--response-offset", type=float, default=0.1)
+    parser.add_argument("--response-slope", type=float, default=SpectralResponse.slope)
+    parser.add_argument("--response-offset", type=float, default=SpectralResponse.offset)
 
 
 def _obtain_graph(args):
@@ -52,17 +53,11 @@ def _cmd_design(args) -> int:
     spectrum = eigendecompose(laplacian(graph))
     response = SpectralResponse(args.response_slope, args.response_offset)
     vo = build_variation_operator(spectrum, response)
-    if args.epsilon == "auto":
-        epsilon = default_radius(graph.num_vertices, args.k)
-    else:
-        epsilon = float(args.epsilon)
     config = DesignConfig(
-        epsilon=epsilon,
+        epsilon=parse_radius(args.epsilon, graph.num_vertices, args.k),
         gamma=args.gamma,
-        t_mode=args.t_mode,
         stop_tol=args.stop_tol,
         max_iter=args.max_iter,
-        rank_tol=args.rank_tol,
         seed=args.seed,
     )
     design = design_sampling_operator(vo.whitener, args.k, config)
@@ -108,8 +103,6 @@ def _cmd_bench(args) -> int:
         overrides["output_dir"] = args.out_dir
     if args.fixed_graph:
         overrides["fixed_graph"] = "true"
-    if args.t_mode is not None:
-        overrides["design.t_mode"] = args.t_mode
     cfg = load_experiment_config(args.config, overrides)
     if cfg.output_dir is None:
         raise ValueError("set output_dir in the config file or pass --out-dir")
@@ -145,12 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_response(p_design)
     p_design.add_argument("--k", type=int, required=True, help="number of samples")
     p_design.add_argument("--epsilon", default="auto", help="Frobenius radius or 'auto'")
-    p_design.add_argument("--gamma", type=float, default=1.0)
-    p_design.add_argument("--t-mode", choices=T_MODES, default="zero")
-    p_design.add_argument("--stop-tol", type=float, default=1e-5)
-    p_design.add_argument("--max-iter", type=int, default=10000)
-    p_design.add_argument("--rank-tol", type=float, default=1e-10)
-    p_design.add_argument("--seed", type=int, default=0)
+    p_design.add_argument("--gamma", type=float, default=DesignConfig.gamma)
+    p_design.add_argument("--stop-tol", type=float, default=DesignConfig.stop_tol)
+    p_design.add_argument("--max-iter", type=int, default=DesignConfig.max_iter)
+    p_design.add_argument("--seed", type=int, default=DesignConfig.seed)
     p_design.add_argument("--out-dir", required=True)
     p_design.set_defaults(func=_cmd_design)
 
@@ -169,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--trials", type=int, help="override trial count")
     p_bench.add_argument("--out-dir", help="override output_dir")
     p_bench.add_argument("--fixed-graph", action="store_true", help="hold one graph across trials")
-    p_bench.add_argument("--t-mode", choices=T_MODES, help="override design.t_mode")
     p_bench.set_defaults(func=_cmd_bench)
 
     p_render = sub.add_parser("render", help="render a signal on a graph as SVG")

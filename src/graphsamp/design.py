@@ -5,10 +5,11 @@ whitened image ``whitener @ S`` has full column rank, which is exactly
 what makes the downstream least-squares reconstruction well posed. Rank
 is relaxed to the nuclear norm, and the resulting concave maximization
 over the ball is solved by iterating a nuclear-norm subgradient step
-followed by the metric projection back onto the ball. The nuclear norm
-of the whitened iterate never decreases along the loop, iterates stay in
-the ball, and the step sizes vanish, so the iteration settles at a
-critical point of the relaxation.
+(the polar factor of the whitened iterate) followed by the metric
+projection back onto the ball. The nuclear norm of the whitened iterate
+never decreases along the loop, iterates stay in the ball, and the step
+sizes vanish, so the iteration settles at a critical point of the
+relaxation.
 """
 
 from __future__ import annotations
@@ -19,28 +20,21 @@ import numpy as np
 
 from .seeds import _UINT64_MASK
 
-T_MODES = ("zero", "identity")
-
 
 @dataclass(frozen=True)
 class DesignConfig:
     """Knobs for the sampling matrix design loop.
 
     ``epsilon`` bounds the Frobenius norm of the designed matrix;
-    ``gamma`` scales the subgradient step; ``t_mode`` picks the
-    trailing-block term of the nuclear-norm subgradient ('zero' drops
-    it, 'identity' keeps the full singular basis); ``stop_tol`` is the
-    relative step size below which the loop stops; ``rank_tol`` is the
-    relative singular-value cutoff used for the subgradient partition
-    and rank reporting; ``seed`` drives the Gaussian initializer.
+    ``gamma`` scales the subgradient step; ``stop_tol`` is the relative
+    step size below which the loop stops; ``max_iter`` caps the
+    iteration count; ``seed`` drives the Gaussian initializer.
     """
 
     epsilon: float
     gamma: float = 1.0
-    t_mode: str = "zero"
     stop_tol: float = 1e-5
     max_iter: int = 10000
-    rank_tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -48,14 +42,10 @@ class DesignConfig:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0 < self.gamma < np.inf:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if self.t_mode not in T_MODES:
-            raise ValueError(f"t_mode must be one of {T_MODES}, got {self.t_mode!r}")
         if not 0.0 < self.stop_tol < 1.0:
             raise ValueError(f"stop_tol must lie in (0, 1), got {self.stop_tol}")
         if int(self.max_iter) < 1:
             raise ValueError(f"max_iter must be positive, got {self.max_iter}")
-        if not 0.0 < self.rank_tol <= 1e-4:
-            raise ValueError(f"rank_tol must lie in (0, 1e-4], got {self.rank_tol}")
         if not 0 <= int(self.seed) <= _UINT64_MASK:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
@@ -104,24 +94,18 @@ def numerical_rank(M: np.ndarray, rank_tol: float = 1e-10) -> int:
     s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
     if s.size == 0 or s[0] <= 0.0:
         return 0
-    return _rank_from_singular_values(s, rank_tol)
-
-
-def _rank_from_singular_values(s: np.ndarray, rank_tol: float) -> int:
-    """Count the descending singular values ``s`` above ``rank_tol * s[0]``."""
     return int(np.count_nonzero(s > rank_tol * s[0]))
 
 
-def nuclear_subgradient(
-    M: np.ndarray, t_mode: str = "zero", rank_tol: float = 1e-10
-) -> np.ndarray:
-    """An element of the nuclear-norm subdifferential at M.
+def nuclear_subgradient(M: np.ndarray) -> np.ndarray:
+    """The polar factor of M, an element of its nuclear-norm subdifferential.
 
-    With the thin SVD ``M = U diag(s) V.T`` partitioned at the numerical
-    rank r (relative cutoff ``rank_tol``), mode 'zero' returns the
-    leading block ``U_r @ V_r.T`` and mode 'identity' adds the trailing
-    block, i.e. ``U @ V.T``. All singular values of the output are at
-    most 1.
+    With the thin SVD ``M = U diag(s) V.T`` this is ``U @ V.T``. On a
+    full-rank M it is the only subgradient. On a rank-deficient M the
+    subdifferential also holds other matrices, which differ only on the
+    singular vectors of the zero singular values; the proximal
+    linearized DC loop reaches a critical point with any of them. All
+    singular values of the output are at most 1.
 
     Raises:
         ValueError: for the zero matrix, whose subdifferential is the
@@ -131,22 +115,18 @@ def nuclear_subgradient(
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {M.shape}")
+    return _polar_factor(M)[0]
+
+
+def _polar_factor(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``U @ V.T`` of the thin SVD of M, and M's singular values."""
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    return _subgradient_from_svd(U, s, Vt, t_mode, rank_tol)
-
-
-def _subgradient_from_svd(U, s, Vt, t_mode, rank_tol):
-    if t_mode not in T_MODES:
-        raise ValueError(f"t_mode must be one of {T_MODES}, got {t_mode!r}")
     if s.size == 0 or s[0] <= 0.0:
         raise ValueError(
             "the zero matrix has no canonical nuclear-norm subgradient; "
             "re-randomize the iterate"
         )
-    if t_mode == "identity":
-        return U @ Vt
-    rank = _rank_from_singular_values(s, rank_tol)
-    return U[:, :rank] @ Vt[:rank, :]
+    return U @ Vt, s
 
 
 def design_sampling_operator(
@@ -156,8 +136,9 @@ def design_sampling_operator(
 
     Starts from a standard-Gaussian matrix (seeded by ``config.seed``)
     projected into the Frobenius ball of radius ``config.epsilon``, then
-    repeats: take a nuclear-norm subgradient G of ``whitener @ S``, move
-    along ``gamma * whitener.T @ G``, and project back onto the ball.
+    repeats: take the polar factor G of ``whitener @ S`` (a nuclear-norm
+    subgradient), move along ``gamma * whitener.T @ G``, and project
+    back onto the ball.
     Stops when ``||S_next - S||_F <= stop_tol * ||S||_F`` or after
     ``max_iter`` iterations (reported via ``converged``).
 
@@ -181,8 +162,7 @@ def design_sampling_operator(
     converged = False
     iterations = 0
     for _ in range(int(config.max_iter)):
-        U, s, Vt = np.linalg.svd(A @ S, full_matrices=False)
-        G = _subgradient_from_svd(U, s, Vt, config.t_mode, config.rank_tol)
+        G, s = _polar_factor(A @ S)
         S_next = project_frobenius_ball(
             S + config.gamma * (A.T @ G), config.epsilon
         )

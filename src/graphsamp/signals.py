@@ -18,15 +18,15 @@ class SignalModelSpec:
     ``eta`` applies to the 'gmrf' kind, ``density`` to 'pwl'.
     """
 
-    kind: str
+    kind: str = "gmrf"
     eta: float = 0.1
     density: float = 0.125
 
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"model kind must be one of {MODEL_KINDS}, got {self.kind!r}")
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not 0 < self.eta < np.inf:
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if not 0.0 < self.density <= 1.0:
             raise ValueError(f"density must lie in (0, 1], got {self.density}")
 
@@ -37,8 +37,8 @@ def gmrf_signal(spectrum: Spectrum, eta: float, seed: int) -> np.ndarray:
     Mode i carries an independent N(0, 1/(lam_i + eta)) coefficient in
     the eigenbasis; the proportionality constant is fixed to 1.
     """
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    if not 0 < eta < np.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     rng = np.random.default_rng(int(seed))
     n = spectrum.eigenvalues.shape[0]
     coeffs = rng.standard_normal(n) / np.sqrt(spectrum.eigenvalues + eta)

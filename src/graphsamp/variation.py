@@ -14,7 +14,7 @@ class SpectralResponse:
     """Affine scalar response ``slope * lam + offset`` applied to Laplacian eigenvalues."""
 
     slope: float = 1.0
-    offset: float = 0.0
+    offset: float = 0.1
 
     def __call__(self, eigenvalues) -> np.ndarray:
         return self.slope * np.asarray(eigenvalues, dtype=float) + self.offset

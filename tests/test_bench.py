@@ -1,5 +1,7 @@
 """Benchmark harness: scoring, baseline sampler, seeds, trials, and reports."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from graphsamp import (
     trial_seeds,
     write_report,
 )
-from graphsamp.bench import METHOD_PROPOSED, METHOD_RANDOM_VERTEX
+from graphsamp.bench import METHOD_PROPOSED, METHOD_RANDOM_VERTEX, config_from_mapping
 
 
 class TestMse:
@@ -95,6 +97,13 @@ class TestExperimentConfig:
         assert cfg.design.epsilon == pytest.approx(np.sqrt(32 * 8))
         assert cfg.sampling_ratio == 0.25
         assert cfg.methods() == (METHOD_PROPOSED, METHOD_RANDOM_VERTEX)
+
+    def test_mapping_defaults_match_dataclasses(self):
+        """A config naming only n and k takes every other value from the dataclasses."""
+        parsed = config_from_mapping({"n": "32", "k": "8"})
+        direct = ExperimentConfig(n=32, num_samples=8)
+        for f in fields(ExperimentConfig):
+            assert getattr(parsed, f.name) == getattr(direct, f.name), f.name
 
     def test_baseline_none(self):
         cfg = ExperimentConfig(n=32, num_samples=8, baseline="none")

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from graphsamp import (
+    DesignConfig,
+    ExperimentConfig,
+    SpectralResponse,
     load_graph,
     load_matrix,
     load_signal,
@@ -11,7 +14,7 @@ from graphsamp import (
     save_graph,
     save_signal,
 )
-from graphsamp.cli import main
+from graphsamp.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -20,6 +23,25 @@ def graph_file(tmp_path):
     path = tmp_path / "graph.txt"
     save_graph(g, path)
     return g, path
+
+
+class TestParserDefaults:
+    def test_design_and_reconstruct_defaults(self):
+        """Flags left unset take the values the config dataclasses default to."""
+        parser = build_parser()
+        design = parser.parse_args(["design", "--k", "4", "--out-dir", "o"])
+        rec = parser.parse_args(
+            ["reconstruct", "--sampling", "S.txt", "--signal", "x.txt", "--out-dir", "o"]
+        )
+        for args in (design, rec):
+            assert args.response_slope == SpectralResponse().slope
+            assert args.response_offset == SpectralResponse().offset
+            assert args.graph_k == ExperimentConfig(n=32, num_samples=8).graph_k
+        defaults = DesignConfig(epsilon=1.0)
+        assert design.epsilon == "auto"
+        assert (design.gamma, design.stop_tol, design.max_iter, design.seed) == (
+            defaults.gamma, defaults.stop_tol, defaults.max_iter, defaults.seed
+        )
 
 
 class TestDesignCommand:
@@ -140,7 +162,6 @@ class TestBenchCommand:
                 "--config", str(cfg),
                 "--trials", "1",
                 "--seed", "9",
-                "--t-mode", "identity",
                 "--fixed-graph",
                 "--out-dir", str(out),
             ]

@@ -72,42 +72,30 @@ class TestProjectFrobeniusBall:
 
 class TestNuclearSubgradient:
     def test_identity_input_both_modes(self):
-        """Identity (full rank) returns identity for both trailing-block modes."""
-        for mode in ("zero", "identity"):
-            np.testing.assert_allclose(nuclear_subgradient(np.eye(4), mode), np.eye(4), atol=1e-12)
-
-    def test_rank_one_partition(self):
-        """diag(3, 0) with mode 'zero' keeps only the leading dyad e1 e1^T."""
-        G = nuclear_subgradient(np.diag([3.0, 0.0]), "zero")
-        np.testing.assert_allclose(G, [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
+        """Identity (full rank) is its own polar factor."""
+        np.testing.assert_allclose(nuclear_subgradient(np.eye(4)), np.eye(4), atol=1e-12)
 
     def test_subgradient_inequality(self):
         """||Y||_* >= ||M||_* + <Y - M, G> for 100 random Y (direct oracle)."""
         rng = np.random.RandomState(3)
         M = rng.randn(6, 4)
-        for mode in ("zero", "identity"):
-            G = nuclear_subgradient(M, mode)
-            base = nuclear_norm(M)
-            for _ in range(100):
-                Y = rng.randn(6, 4) * rng.choice([0.1, 1.0, 10.0])
-                gap = nuclear_norm(Y) - base - np.sum((Y - M) * G)
-                assert gap >= -1e-8 * max(1.0, nuclear_norm(Y), base)
+        G = nuclear_subgradient(M)
+        base = nuclear_norm(M)
+        for _ in range(100):
+            Y = rng.randn(6, 4) * rng.choice([0.1, 1.0, 10.0])
+            gap = nuclear_norm(Y) - base - np.sum((Y - M) * G)
+            assert gap >= -1e-8 * max(1.0, nuclear_norm(Y), base)
 
     def test_spectral_norm_bounded(self):
         rng = np.random.RandomState(4)
         for _ in range(50):
             M = rng.randn(5, 3)
-            for mode in ("zero", "identity"):
-                s = np.linalg.svd(nuclear_subgradient(M, mode), compute_uv=False)
-                assert s[0] <= 1.0 + 1e-10
+            s = np.linalg.svd(nuclear_subgradient(M), compute_uv=False)
+            assert s[0] <= 1.0 + 1e-10
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="zero matrix"):
             nuclear_subgradient(np.zeros((3, 2)))
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="t_mode"):
-            nuclear_subgradient(np.eye(2), "half")
 
 
 class TestNumericalRank:
@@ -132,7 +120,6 @@ class TestDesignConfig:
     def test_default_settings(self):
         cfg = DesignConfig(epsilon=default_radius(256, 32))
         assert cfg.gamma == 1.0
-        assert cfg.t_mode == "zero"
         assert cfg.stop_tol == 1e-5
         assert cfg.max_iter == 10000
 
@@ -141,16 +128,16 @@ class TestDesignConfig:
         [
             {"epsilon": 0.0},
             {"epsilon": 1.0, "gamma": 0.0},
-            {"epsilon": 1.0, "t_mode": "one"},
             {"epsilon": 1.0, "stop_tol": 0.0},
             {"epsilon": 1.0, "stop_tol": 1.0},
-            {"epsilon": 1.0, "rank_tol": 0.0},
-            {"epsilon": 1.0, "rank_tol": 1e-3},
             {"epsilon": 1.0, "max_iter": 0},
             {"epsilon": 1.0, "seed": -1},
             {"epsilon": float("inf")},
             {"epsilon": float("nan")},
             {"epsilon": 1.0, "gamma": float("inf")},
+            {"epsilon": 1.0, "gamma": float("nan")},
+            {"epsilon": 1.0, "stop_tol": float("nan")},
+            {"epsilon": 1.0, "seed": 2**64},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

@@ -1,5 +1,8 @@
 """Round trips and error handling for the text file formats."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from graphsamp import (
     save_signal,
     save_trace_csv,
 )
-from graphsamp.bench import config_from_mapping
+from graphsamp.bench import _CONFIG_PARSERS, config_from_mapping
 
 
 class TestGraphFormat:
@@ -154,7 +157,6 @@ class TestExperimentConfigFile:
                     "model.density 0.25",
                     "design.epsilon auto",
                     "design.gamma 0.5",
-                    "design.t_mode identity",
                     "design.stop_tol 1e-4",
                 ]
             )
@@ -167,7 +169,6 @@ class TestExperimentConfigFile:
         assert cfg.model.kind == "pwl" and cfg.model.density == 0.25
         assert cfg.design.epsilon == pytest.approx(np.sqrt(32 * 8))
         assert cfg.design.gamma == 0.5
-        assert cfg.design.t_mode == "identity"
         assert cfg.design.stop_tol == 1e-4
 
     def test_overrides_win(self, tmp_path):
@@ -182,10 +183,34 @@ class TestExperimentConfigFile:
         with pytest.raises(ValueError, match="unknown config key"):
             load_experiment_config(path)
 
-    def test_model_seed_key_rejected(self):
-        """Signals always draw from the trial's own stream, so no model seed is read."""
-        with pytest.raises(ValueError, match="unknown config keys: model.seed"):
-            config_from_mapping({"n": "32", "k": "8", "model.seed": "4"})
+    @pytest.mark.parametrize("key", ["model.seed", "design.t_mode", "design.rank_tol"])
+    def test_removed_key_rejected(self, key):
+        """Keys of removed settings are unknown: signals draw from the trial's
+        own stream, and the design step is always the polar factor."""
+        with pytest.raises(ValueError, match=f"unknown config keys: {re.escape(key)}$"):
+            config_from_mapping({"n": "32", "k": "8", key: "4"})
+
+    @pytest.mark.parametrize(
+        "line", ["trials many", "design.gamma fast", "fixed_graph maybe"]
+    )
+    def test_bad_value_names_key(self, tmp_path, line):
+        key = line.split()[0]
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"n 32\nk 8\n{line}\n")
+        with pytest.raises(ValueError, match=f"config key {re.escape(key)}: "):
+            load_experiment_config(path)
+
+    def test_readme_config_block(self, tmp_path):
+        """The README's config example loads and names every config key once."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Experiment config format", 1)[1]
+        block = section.split("```", 2)[1].strip("\n")
+        keys = [line.split()[0] for line in block.splitlines()]
+        assert sorted(keys) == sorted(_CONFIG_PARSERS)
+        path = tmp_path / "cfg.txt"
+        path.write_text(block + "\n")
+        cfg = load_experiment_config(path)
+        assert cfg.n == 256 and cfg.num_samples == 32 and cfg.trials == 100
 
     def test_missing_required_rejected(self):
         with pytest.raises(ValueError, match="missing required"):

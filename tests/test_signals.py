@@ -35,6 +35,7 @@ class TestSignalModelSpec:
             {"kind": "gmrf", "eta": 0.0},
             {"kind": "pwl", "density": 0.0},
             {"kind": "pwl", "density": 1.5},
+            {"kind": "gmrf", "eta": float("inf")},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
@@ -75,8 +76,9 @@ class TestGmrfSignal:
 
     def test_bad_eta_rejected(self, small_graph):
         _, _, spectrum = small_graph
-        with pytest.raises(ValueError, match="eta"):
-            gmrf_signal(spectrum, 0.0, seed=0)
+        for eta in (0.0, float("inf")):
+            with pytest.raises(ValueError, match="eta"):
+                gmrf_signal(spectrum, eta, seed=0)
 
 
 class TestPwlSignal:

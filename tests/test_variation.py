@@ -23,6 +23,14 @@ class TestSpectralResponse:
         resp = SpectralResponse(2.0, 0.5)
         np.testing.assert_allclose(resp(np.array([0.0, 1.0])), [0.5, 2.5])
 
+    def test_default_builds_on_sensor_graph(self):
+        """The default offset keeps the response away from zero at the
+        Laplacian's zero eigenvalue, which eigh returns as about +-1e-16."""
+        spectrum = eigendecompose(laplacian(random_sensor_graph(64, 6, seed=0)))
+        assert abs(spectrum.eigenvalues[0]) < 1e-12
+        vo = build_variation_operator(spectrum, SpectralResponse())
+        assert vo.singular_values[-1] > 0.0
+
 
 class TestBuildVariationOperator:
     def test_p2_response_eigenvalues(self):
