@@ -345,9 +345,11 @@ def load_experiment_config(path, overrides: dict[str, str] | None = None) -> Exp
     """Parse the key-value experiment file into an ExperimentConfig.
 
     Lines are ``key value``; ``#`` starts a comment. Keys are listed in
-    the README. ``overrides`` (same key space) win over file values.
+    the README, and a key may appear once. ``overrides`` (same key
+    space) win over file values.
     """
     raw: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -355,7 +357,14 @@ def load_experiment_config(path, overrides: dict[str, str] | None = None) -> Exp
         parts = stripped.split(None, 1)
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected 'key value', got {line!r}")
-        raw[parts[0]] = parts[1].strip()
+        key = parts[0]
+        if key in first_line:
+            raise ValueError(
+                f"{path}:{lineno}: key {key!r} is set twice, on lines "
+                f"{first_line[key]} and {lineno}"
+            )
+        first_line[key] = lineno
+        raw[key] = parts[1].strip()
     if overrides:
         raw.update({key: str(value) for key, value in overrides.items()})
     return config_from_mapping(raw)

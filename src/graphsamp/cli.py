@@ -53,8 +53,12 @@ def _cmd_design(args) -> int:
     spectrum = eigendecompose(laplacian(graph))
     response = SpectralResponse(args.response_slope, args.response_offset)
     vo = build_variation_operator(spectrum, response)
+    try:
+        epsilon = parse_radius(args.epsilon, graph.num_vertices, args.k)
+    except ValueError as exc:
+        raise ValueError(f"--epsilon: {exc}") from exc
     config = DesignConfig(
-        epsilon=parse_radius(args.epsilon, graph.num_vertices, args.k),
+        epsilon=epsilon,
         gamma=args.gamma,
         stop_tol=args.stop_tol,
         max_iter=args.max_iter,

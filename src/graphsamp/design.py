@@ -10,6 +10,15 @@ projection back onto the ball. The nuclear norm of the whitened iterate
 never decreases along the loop, iterates stay in the ball, and the step
 sizes vanish, so the iteration settles at a critical point of the
 relaxation.
+
+The loop runs in spectral coordinates. The whitener is factored once as
+``A = P diag(d) Q.T`` with P and Q orthogonal. P drops out, because the
+nuclear norm is invariant under it and ``polar(P M) = P polar(M)``, and
+Q drops out of the loop, because the Frobenius ball is invariant under
+rotation. So the loop iterates on ``T = Q.T @ S``, where whitening is a
+row scaling by d, and rotates back once at the end. A whitener with
+orthogonal rows, such as every ``VariationOperator.whitener``, is
+factored with one product ``A @ A.T``; any other takes a full SVD.
 """
 
 from __future__ import annotations
@@ -129,55 +138,91 @@ def _polar_factor(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return U @ Vt, s
 
 
+# largest |cosine| between two distinct rows of a whitener for which its
+# rows count as orthogonal and its factors are read off the rows
+_ROW_ORTHOGONAL_TOL = 1e-12
+
+
+def _whitener_factors(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``d`` and an orthogonal ``Q`` with ``A = P diag(d) Q.T`` for some orthogonal P.
+
+    If the rows of A are orthogonal, which one product ``A @ A.T``
+    checks, P is the identity, d holds the row norms and ``Q = A.T / d``.
+    Otherwise the factors come from the SVD of A. At most one n x n
+    array besides Q is held at a time.
+    """
+    cosines = A @ A.T
+    d = np.sqrt(np.diag(cosines))
+    orthogonal = False
+    if d.min() > 0.0:
+        cosines /= d[:, None]
+        cosines /= d
+        np.fill_diagonal(cosines, 0.0)
+        orthogonal = np.max(np.abs(cosines, out=cosines)) <= _ROW_ORTHOGONAL_TOL
+    del cosines
+    if orthogonal:
+        return d, A.T / d
+    _, d, Qt = np.linalg.svd(A)
+    return d, Qt.T
+
+
 def design_sampling_operator(
     whitener: np.ndarray, num_samples: int, config: DesignConfig
 ) -> SamplingDesign:
     """Design a dense sampling matrix maximizing the whitened nuclear norm.
 
-    Starts from a standard-Gaussian matrix (seeded by ``config.seed``)
-    projected into the Frobenius ball of radius ``config.epsilon``, then
-    repeats: take the polar factor G of ``whitener @ S`` (a nuclear-norm
-    subgradient), move along ``gamma * whitener.T @ G``, and project
-    back onto the ball.
-    Stops when ``||S_next - S||_F <= stop_tol * ||S||_F`` or after
-    ``max_iter`` iterations (reported via ``converged``).
+    Starts from a standard-Gaussian matrix S (seeded by ``config.seed``)
+    projected into the Frobenius ball of radius ``config.epsilon``.
+    With the whitener factored as ``P diag(d) Q.T`` (see the module
+    docstring), the loop iterates on ``T = Q.T @ S`` and repeats: take
+    the polar factor G of ``d * T`` (row-scaled; ``P`` times it is the
+    nuclear-norm subgradient at ``whitener @ S``), move along
+    ``gamma * d * G``, and project back onto the ball. This is the step
+    ``S + gamma * whitener.T @ (P @ G)`` written in the rotated
+    coordinates, and the trace's norms are the same in either.
+    Stops when ``||T_next - T||_F <= stop_tol * ||T||_F`` or after
+    ``max_iter`` iterations (reported via ``converged``), and returns
+    ``S = Q @ T``.
 
     Raises:
-        ValueError: on a non-square whitener, out-of-range sample count,
-            or a zero whitened iterate (propagated from the subgradient).
+        ValueError: on a non-square or non-finite whitener, out-of-range
+            sample count, or a zero whitened iterate (propagated from
+            the subgradient).
     """
     A = np.asarray(whitener, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"whitener must be square, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("whitener has a non-finite entry")
     n = A.shape[0]
     if not 1 <= num_samples < n:
         raise ValueError(
             f"num_samples must satisfy 1 <= K < {n}, got {num_samples}"
         )
+    d, Q = _whitener_factors(A)
+    d = d[:, None]
     rng = np.random.default_rng(int(config.seed))
-    S = project_frobenius_ball(
+    T = Q.T @ project_frobenius_ball(
         rng.standard_normal((n, num_samples)), config.epsilon
     )
     nuc, steps, frobs = [], [], []
     converged = False
     iterations = 0
     for _ in range(int(config.max_iter)):
-        G, s = _polar_factor(A @ S)
-        S_next = project_frobenius_ball(
-            S + config.gamma * (A.T @ G), config.epsilon
-        )
-        step = float(np.linalg.norm(S_next - S))
-        current = float(np.linalg.norm(S))
+        G, s = _polar_factor(d * T)
+        T_next = project_frobenius_ball(T + config.gamma * (d * G), config.epsilon)
+        step = float(np.linalg.norm(T_next - T))
+        current = float(np.linalg.norm(T))
         nuc.append(float(np.sum(s)))
         steps.append(step)
         frobs.append(current)
-        S = S_next
+        T = T_next
         iterations += 1
         if step <= config.stop_tol * current:
             converged = True
             break
     return SamplingDesign(
-        matrix=S,
+        matrix=Q @ T,
         iterations=iterations,
         converged=converged,
         nuclear_norms=np.asarray(nuc),

@@ -81,6 +81,13 @@ class TestDesignCommand:
         g = load_graph(out / "graph.txt")
         assert g.num_vertices == 16
 
+    def test_bad_epsilon_names_flag(self, tmp_path, capsys):
+        rc = main(["design", "--n", "16", "--k", "4", "--epsilon", "fast", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --epsilon: ")
+        assert "'fast'" in err
+
     def test_missing_graph_source_fails(self, tmp_path, capsys):
         rc = main(["design", "--k", "4", "--out-dir", str(tmp_path)])
         assert rc == 1

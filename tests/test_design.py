@@ -1,4 +1,12 @@
-"""Projection, nuclear-norm subgradient, and the design loop invariants."""
+"""Projection, nuclear-norm subgradient, and the design loop invariants.
+
+Oracles:
+- the design loop: the dense loop on ``whitener @ S``, kept here as the
+  reference for the spectral-coordinate loop;
+- the design optimum: ``max ||A S||_* over ||S||_F <= eps`` equals
+  ``eps * ||d_(1..K)||_2`` (von Neumann, then Cauchy-Schwarz), with d the
+  singular values of A.
+"""
 
 import numpy as np
 import pytest
@@ -17,12 +25,56 @@ from graphsamp import (
     project_frobenius_ball,
     random_sensor_graph,
 )
+from graphsamp.design import SamplingDesign, _polar_factor
 
 
 def _whitener(n, seed):
     g = random_sensor_graph(n, min(6, n - 1), seed)
     spectrum = eigendecompose(laplacian(g))
     return build_variation_operator(spectrum, SpectralResponse(1.0, 0.1)).whitener
+
+
+def _reference_design(whitener, num_samples, config):
+    """The dense loop: two n x n products per iteration, on S itself."""
+    A = np.asarray(whitener, dtype=float)
+    n = A.shape[0]
+    rng = np.random.default_rng(int(config.seed))
+    S = project_frobenius_ball(
+        rng.standard_normal((n, num_samples)), config.epsilon
+    )
+    nuc, steps, frobs = [], [], []
+    converged = False
+    iterations = 0
+    for _ in range(int(config.max_iter)):
+        G, s = _polar_factor(A @ S)
+        S_next = project_frobenius_ball(
+            S + config.gamma * (A.T @ G), config.epsilon
+        )
+        step = float(np.linalg.norm(S_next - S))
+        current = float(np.linalg.norm(S))
+        nuc.append(float(np.sum(s)))
+        steps.append(step)
+        frobs.append(current)
+        S = S_next
+        iterations += 1
+        if step <= config.stop_tol * current:
+            converged = True
+            break
+    return SamplingDesign(
+        matrix=S,
+        iterations=iterations,
+        converged=converged,
+        nuclear_norms=np.asarray(nuc),
+        step_norms=np.asarray(steps),
+        frobenius_norms=np.asarray(frobs),
+    )
+
+
+def _random_whitener(n, seed):
+    """A square whitener whose rows are not orthogonal."""
+    A = np.random.default_rng(seed).standard_normal((n, n))
+    assert abs(A[0] @ A[1]) > 1e-3 * np.linalg.norm(A[0]) * np.linalg.norm(A[1])
+    return A
 
 
 class TestProjectFrobeniusBall:
@@ -222,7 +274,68 @@ class TestDesignSamplingOperator:
         cfg = DesignConfig(epsilon=1.0)
         with pytest.raises(ValueError, match="square"):
             design_sampling_operator(np.zeros((3, 2)), 1, cfg)
+        with pytest.raises(ValueError, match="whitener"):
+            design_sampling_operator(np.diag([1.0, np.nan, 1.0, 1.0]), 1, cfg)
         with pytest.raises(ValueError, match="num_samples"):
             design_sampling_operator(np.eye(4), 4, cfg)
         with pytest.raises(ValueError, match="num_samples"):
             design_sampling_operator(np.eye(4), 0, cfg)
+
+
+class TestSpectralLoopAgainstDenseLoop:
+    @pytest.mark.parametrize(
+        "case",
+        ["variation-24", "variation-64", "variation-256", "identity-16", "random-40"],
+    )
+    def test_matches_dense_reference(self, case):
+        """Same iterations and stopping; S to 1e-10 and the trace to 1e-12 relative.
+
+        Step norms are differences of nearly equal iterates, so their
+        rounding is relative to the iterate's norm, at most epsilon.
+        """
+        kind, n = case.rsplit("-", 1)
+        n = int(n)
+        if kind == "variation":
+            A = _whitener(n, seed=n)
+        elif kind == "identity":
+            A = np.eye(n)
+        else:
+            A = _random_whitener(n, seed=n)
+        K = max(n // 8, 4)
+        cfg = DesignConfig(epsilon=default_radius(n, K), seed=n + 1)
+        got = design_sampling_operator(A, K, cfg)
+        want = _reference_design(A, K, cfg)
+        assert got.iterations == want.iterations
+        assert got.converged == want.converged
+        scale = np.linalg.norm(want.matrix)
+        assert np.linalg.norm(got.matrix - want.matrix) <= 1e-10 * scale
+        np.testing.assert_allclose(got.nuclear_norms, want.nuclear_norms, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.frobenius_norms, want.frobenius_norms, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            got.step_norms, want.step_norms, rtol=0, atol=1e-12 * cfg.epsilon
+        )
+
+
+class TestClosedFormCertificate:
+    def _check(self, A, K, seed):
+        """``||A S||_*`` of a converged design is within 1e-4 below the optimum."""
+        eps = default_radius(A.shape[0], K)
+        design = design_sampling_operator(A, K, DesignConfig(epsilon=eps, seed=seed))
+        assert design.converged
+        achieved = nuclear_norm(A @ design.matrix)
+        bound = eps * np.linalg.norm(np.linalg.svd(A, compute_uv=False)[:K])
+        assert achieved <= bound * (1 + 1e-12)
+        assert achieved >= bound * (1 - 1e-4)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sensor_graph_reaches_certificate(self, seed):
+        """The loop's limit is the global optimum on n=256 sensor graphs."""
+        self._check(_whitener(256, seed=seed), 32, seed)
+
+    def test_random_whitener_reaches_certificate(self):
+        self._check(_random_whitener(40, seed=3), 5, seed=4)
+
+    def test_identity_tie_compares_nuclear_norms(self):
+        """With d constant every K-frame of the right size is optimal, so
+        only the nuclear norm is compared, never the matrix."""
+        self._check(np.eye(16), 4, seed=0)

@@ -177,6 +177,22 @@ class TestExperimentConfigFile:
         cfg = load_experiment_config(path, overrides={"trials": "7", "master_seed": "3"})
         assert cfg.trials == 7 and cfg.master_seed == 3
 
+    def test_duplicate_key_rejected(self, tmp_path):
+        """A key set twice names the key and both lines, instead of the
+        last value silently winning."""
+        path = tmp_path / "cfg.txt"
+        path.write_text("n 32\nk 8\ntrials 2\n# stale line below\ntrials 5\n")
+        with pytest.raises(ValueError, match=r"cfg.txt:5: key 'trials' is set twice, on lines 3 and 5"):
+            load_experiment_config(path)
+
+    def test_duplicate_key_rejected_even_when_overridden(self, tmp_path):
+        """An override replaces the file's value but does not excuse a
+        malformed file."""
+        path = tmp_path / "cfg.txt"
+        path.write_text("n 32\nk 8\ntrials 2\ntrials 5\n")
+        with pytest.raises(ValueError, match="set twice"):
+            load_experiment_config(path, overrides={"trials": "7"})
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("n 32\nk 8\nnn_k 4\n")
