@@ -57,13 +57,7 @@ def _cmd_design(args) -> int:
         epsilon = parse_radius(args.epsilon, graph.num_vertices, args.k)
     except ValueError as exc:
         raise ValueError(f"--epsilon: {exc}") from exc
-    config = DesignConfig(
-        epsilon=epsilon,
-        gamma=args.gamma,
-        stop_tol=args.stop_tol,
-        max_iter=args.max_iter,
-        seed=args.seed,
-    )
+    config = DesignConfig(epsilon=epsilon, max_iter=args.max_iter, seed=args.seed)
     design = design_sampling_operator(vo.whitener, args.k, config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -86,7 +80,7 @@ def _cmd_reconstruct(args) -> int:
     spectrum = eigendecompose(laplacian(graph))
     response = SpectralResponse(args.response_slope, args.response_offset)
     vo = build_variation_operator(spectrum, response)
-    pipeline = build_pipeline(vo, S, inv_tol=args.inv_tol)
+    pipeline = build_pipeline(vo, S)
     x_hat = pipeline.reconstruct(sample(S, x))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -142,8 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_response(p_design)
     p_design.add_argument("--k", type=int, required=True, help="number of samples")
     p_design.add_argument("--epsilon", default="auto", help="Frobenius radius or 'auto'")
-    p_design.add_argument("--gamma", type=float, default=DesignConfig.gamma)
-    p_design.add_argument("--stop-tol", type=float, default=DesignConfig.stop_tol)
     p_design.add_argument("--max-iter", type=int, default=DesignConfig.max_iter)
     p_design.add_argument("--seed", type=int, default=DesignConfig.seed)
     p_design.add_argument("--out-dir", required=True)
@@ -154,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_response(p_rec)
     p_rec.add_argument("--sampling", required=True, help="sampling matrix file")
     p_rec.add_argument("--signal", required=True, help="signal file")
-    p_rec.add_argument("--inv-tol", type=float, default=1e-10)
     p_rec.add_argument("--out-dir", required=True)
     p_rec.set_defaults(func=_cmd_reconstruct)
 

@@ -11,14 +11,13 @@ never decreases along the loop, iterates stay in the ball, and the step
 sizes vanish, so the iteration settles at a critical point of the
 relaxation.
 
-The loop runs in spectral coordinates. The whitener is factored once as
-``A = P diag(d) Q.T`` with P and Q orthogonal. P drops out, because the
-nuclear norm is invariant under it and ``polar(P M) = P polar(M)``, and
-Q drops out of the loop, because the Frobenius ball is invariant under
-rotation. So the loop iterates on ``T = Q.T @ S``, where whitening is a
-row scaling by d, and rotates back once at the end. A whitener with
-orthogonal rows, such as every ``VariationOperator.whitener``, is
-factored with one product ``A @ A.T``; any other takes a full SVD.
+The loop runs in spectral coordinates. The whitener must have orthogonal
+rows, as every ``VariationOperator.whitener`` does, so it factors as
+``A = diag(d) Q.T`` with d its row norms and Q orthogonal; one product
+``A @ A.T`` checks the rows and reads off the factors. Q drops out of
+the loop, because the Frobenius ball is invariant under rotation. So
+the loop iterates on ``T = Q.T @ S``, where whitening is a row scaling
+by d, and rotates back once at the end.
 """
 
 from __future__ import annotations
@@ -29,30 +28,26 @@ import numpy as np
 
 from .seeds import _UINT64_MASK
 
+# relative step size ||T_next - T||_F / ||T||_F below which the loop stops
+STOP_TOL = 1e-5
+
 
 @dataclass(frozen=True)
 class DesignConfig:
     """Knobs for the sampling matrix design loop.
 
     ``epsilon`` bounds the Frobenius norm of the designed matrix;
-    ``gamma`` scales the subgradient step; ``stop_tol`` is the relative
-    step size below which the loop stops; ``max_iter`` caps the
-    iteration count; ``seed`` drives the Gaussian initializer.
+    ``max_iter`` caps the iteration count; ``seed`` drives the Gaussian
+    initializer.
     """
 
     epsilon: float
-    gamma: float = 1.0
-    stop_tol: float = 1e-5
     max_iter: int = 10000
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not 0 < self.gamma < np.inf:
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if not 0.0 < self.stop_tol < 1.0:
-            raise ValueError(f"stop_tol must lie in (0, 1), got {self.stop_tol}")
         if int(self.max_iter) < 1:
             raise ValueError(f"max_iter must be positive, got {self.max_iter}")
         if not 0 <= int(self.seed) <= _UINT64_MASK:
@@ -139,31 +134,35 @@ def _polar_factor(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # largest |cosine| between two distinct rows of a whitener for which its
-# rows count as orthogonal and its factors are read off the rows
+# rows count as orthogonal
 _ROW_ORTHOGONAL_TOL = 1e-12
 
 
 def _whitener_factors(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``d`` and an orthogonal ``Q`` with ``A = P diag(d) Q.T`` for some orthogonal P.
+    """Row norms ``d`` and the orthogonal ``Q = A.T / d``, so that ``A = diag(d) Q.T``.
 
-    If the rows of A are orthogonal, which one product ``A @ A.T``
-    checks, P is the identity, d holds the row norms and ``Q = A.T / d``.
-    Otherwise the factors come from the SVD of A. At most one n x n
-    array besides Q is held at a time.
+    One product ``A @ A.T`` gives the row norms and the cosines between
+    rows. At most one n x n array besides Q is held at a time.
+
+    Raises:
+        ValueError: if A has a zero row, or two rows that are not
+            orthogonal.
     """
     cosines = A @ A.T
     d = np.sqrt(np.diag(cosines))
-    orthogonal = False
-    if d.min() > 0.0:
-        cosines /= d[:, None]
-        cosines /= d
-        np.fill_diagonal(cosines, 0.0)
-        orthogonal = np.max(np.abs(cosines, out=cosines)) <= _ROW_ORTHOGONAL_TOL
+    if d.min() <= 0.0:
+        raise ValueError(f"whitener row {int(np.argmin(d))} is zero")
+    cosines /= d[:, None]
+    cosines /= d
+    np.fill_diagonal(cosines, 0.0)
+    worst = float(np.max(np.abs(cosines, out=cosines)))
     del cosines
-    if orthogonal:
-        return d, A.T / d
-    _, d, Qt = np.linalg.svd(A)
-    return d, Qt.T
+    if not worst <= _ROW_ORTHOGONAL_TOL:
+        raise ValueError(
+            f"whitener rows are not orthogonal: the largest |cosine| between "
+            f"two rows is {worst:.3g}, above {_ROW_ORTHOGONAL_TOL:g}"
+        )
+    return d, A.T / d
 
 
 def design_sampling_operator(
@@ -173,21 +172,21 @@ def design_sampling_operator(
 
     Starts from a standard-Gaussian matrix S (seeded by ``config.seed``)
     projected into the Frobenius ball of radius ``config.epsilon``.
-    With the whitener factored as ``P diag(d) Q.T`` (see the module
+    With the whitener factored as ``diag(d) Q.T`` (see the module
     docstring), the loop iterates on ``T = Q.T @ S`` and repeats: take
-    the polar factor G of ``d * T`` (row-scaled; ``P`` times it is the
-    nuclear-norm subgradient at ``whitener @ S``), move along
-    ``gamma * d * G``, and project back onto the ball. This is the step
-    ``S + gamma * whitener.T @ (P @ G)`` written in the rotated
-    coordinates, and the trace's norms are the same in either.
-    Stops when ``||T_next - T||_F <= stop_tol * ||T||_F`` or after
-    ``max_iter`` iterations (reported via ``converged``), and returns
-    ``S = Q @ T``.
+    the polar factor G of ``d * T``, which is the nuclear-norm
+    subgradient at ``whitener @ S``, move along ``d * G``, and project
+    back onto the ball. This is the step ``S + whitener.T @ G`` written
+    in the rotated coordinates, and the trace's norms are the same in
+    either. Stops when ``||T_next - T||_F <= STOP_TOL * ||T||_F`` or
+    after ``max_iter`` iterations (reported via ``converged``), and
+    returns ``S = Q @ T``.
 
     Raises:
-        ValueError: on a non-square or non-finite whitener, out-of-range
-            sample count, or a zero whitened iterate (propagated from
-            the subgradient).
+        ValueError: on a non-square or non-finite whitener, a whitener
+            with a zero row or rows that are not orthogonal, an
+            out-of-range sample count, or a zero whitened iterate
+            (propagated from the subgradient).
     """
     A = np.asarray(whitener, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -210,7 +209,7 @@ def design_sampling_operator(
     iterations = 0
     for _ in range(int(config.max_iter)):
         G, s = _polar_factor(d * T)
-        T_next = project_frobenius_ball(T + config.gamma * (d * G), config.epsilon)
+        T_next = project_frobenius_ball(T + d * G, config.epsilon)
         step = float(np.linalg.norm(T_next - T))
         current = float(np.linalg.norm(T))
         nuc.append(float(np.sum(s)))
@@ -218,7 +217,7 @@ def design_sampling_operator(
         frobs.append(current)
         T = T_next
         iterations += 1
-        if step <= config.stop_tol * current:
+        if step <= STOP_TOL * current:
             converged = True
             break
     return SamplingDesign(

@@ -8,11 +8,14 @@ Formats are line oriented and diffable:
 * signal: header ``n <len>``, then one decimal per line;
 * design trace: CSV with columns ``iter,nuclear_norm,step_norm``.
 
-Floats are written with ``repr`` so every file round-trips exactly.
+Floats are written with ``repr`` so every file round-trips exactly. A
+loader reports every malformed or non-finite value with an error that
+names the file.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +28,18 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _finite(values: np.ndarray, path) -> np.ndarray:
+@contextmanager
+def _naming(path):
+    """Prefix the message of any ValueError raised inside with ``path``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values)):
-        raise ValueError(f"{path}: non-finite value (nan or inf)")
+        raise ValueError("non-finite value (nan or inf)")
     return values
 
 
@@ -43,31 +55,36 @@ def save_graph(graph: Graph, path) -> None:
 
 
 def load_graph(path) -> Graph:
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise ValueError(f"{path}: empty graph file")
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != "n":
-        raise ValueError(f"{path}: expected header 'n <num_vertices>', got {lines[0]!r}")
-    n = int(header[1])
-    pos = 1
-    coords = None
-    if pos < len(lines) and lines[pos] == "coords":
-        pos += 1
-        if len(lines) < pos + n:
-            raise ValueError(f"{path}: coords block needs {n} lines")
-        coords = np.array(
-            [[float(tok) for tok in lines[pos + i].split()] for i in range(n)]
-        )
-        pos += n
-    edges = []
-    for ln in lines[pos:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"{path}: bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
-    return Graph(num_vertices=n, edges=edges, coordinates=coords)
+    with _naming(path):
+        lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
+        lines = [ln for ln in lines if ln]
+        if not lines:
+            raise ValueError("empty graph file")
+        header = lines[0].split()
+        if len(header) != 2 or header[0] != "n":
+            raise ValueError(f"expected header 'n <num_vertices>', got {lines[0]!r}")
+        n = int(header[1])
+        pos = 1
+        coords = None
+        if pos < len(lines) and lines[pos] == "coords":
+            pos += 1
+            if len(lines) < pos + n:
+                raise ValueError(f"coords block needs {n} lines")
+            coords = []
+            for ln in lines[pos : pos + n]:
+                parts = ln.split()
+                if len(parts) != 2:
+                    raise ValueError(f"bad coords line {ln!r}")
+                coords.append((float(parts[0]), float(parts[1])))
+            coords = np.array(coords)
+            pos += n
+        edges = []
+        for ln in lines[pos:]:
+            parts = ln.split()
+            if len(parts) != 3:
+                raise ValueError(f"bad edge line {ln!r}")
+            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+        return Graph(num_vertices=n, edges=edges, coordinates=coords)
 
 
 def save_matrix(matrix: np.ndarray, path) -> None:
@@ -80,17 +97,18 @@ def save_matrix(matrix: np.ndarray, path) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    text = Path(path).read_text().split()
-    if len(text) < 2:
-        raise ValueError(f"{path}: expected '<rows> <cols>' header")
-    rows, cols = int(text[0]), int(text[1])
-    body = text[2:]
-    if len(body) != rows * cols:
-        raise ValueError(
-            f"{path}: expected {rows * cols} entries for a {rows}x{cols} matrix, "
-            f"found {len(body)}"
-        )
-    return _finite(np.array([float(tok) for tok in body]).reshape(rows, cols), path)
+    with _naming(path):
+        text = Path(path).read_text().split()
+        if len(text) < 2:
+            raise ValueError("expected '<rows> <cols>' header")
+        rows, cols = int(text[0]), int(text[1])
+        body = text[2:]
+        if len(body) != rows * cols:
+            raise ValueError(
+                f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
+                f"found {len(body)}"
+            )
+        return _finite(np.array([float(tok) for tok in body]).reshape(rows, cols))
 
 
 def save_signal(x: np.ndarray, path) -> None:
@@ -100,17 +118,18 @@ def save_signal(x: np.ndarray, path) -> None:
 
 
 def load_signal(path) -> np.ndarray:
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise ValueError(f"{path}: empty signal file")
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != "n":
-        raise ValueError(f"{path}: expected header 'n <len>', got {lines[0]!r}")
-    length = int(header[1])
-    if len(lines) - 1 != length:
-        raise ValueError(f"{path}: expected {length} values, found {len(lines) - 1}")
-    return _finite(np.array([float(ln) for ln in lines[1:]]), path)
+    with _naming(path):
+        lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
+        lines = [ln for ln in lines if ln]
+        if not lines:
+            raise ValueError("empty signal file")
+        header = lines[0].split()
+        if len(header) != 2 or header[0] != "n":
+            raise ValueError(f"expected header 'n <len>', got {lines[0]!r}")
+        length = int(header[1])
+        if len(lines) - 1 != length:
+            raise ValueError(f"expected {length} values, found {len(lines) - 1}")
+        return _finite(np.array([float(ln) for ln in lines[1:]]))
 
 
 def save_trace_csv(design: SamplingDesign, path) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +19,10 @@ class Graph:
     """Connected weighted undirected graph.
 
     Edges are canonicalized to (u, v, w) with u < v and sorted by vertex
-    pair. Construction validates index bounds, absence of self loops and
-    duplicate pairs, strictly positive finite weights, and connectivity,
-    so every instance is safe to feed to the spectral pipeline.
+    pair. Construction validates integer indices, index bounds, absence
+    of self loops and duplicate pairs, strictly positive finite weights,
+    and connectivity, so every instance is safe to feed to the spectral
+    pipeline.
     """
 
     num_vertices: int
@@ -35,7 +37,13 @@ class Graph:
         canonical = []
         seen = set()
         for u, v, w in self.edges:
-            u, v, w = int(u), int(v), float(w)
+            try:
+                u, v = operator.index(u), operator.index(v)
+            except TypeError:
+                raise ValueError(
+                    f"edge ({u!r}, {v!r}) has a non-integer vertex index"
+                ) from None
+            w = float(w)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
             if u == v:
@@ -158,11 +166,13 @@ def eigendecompose(matrix: np.ndarray) -> Spectrum:
     magnitude (lowest index on ties) is made positive.
 
     Raises:
-        ValueError: if the input is not square and symmetric.
+        ValueError: if the input is not square, finite and symmetric.
     """
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix has a non-finite entry (nan or inf)")
     scale = max(1.0, float(np.max(np.abs(M))))
     if float(np.max(np.abs(M - M.T))) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")

@@ -8,6 +8,10 @@ import numpy as np
 
 from .variation import VariationOperator
 
+# smallest singular value of S.T @ prior, relative to the largest, for
+# which the correction is the plain inverse; also the pseudo-inverse cutoff
+INV_TOL = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionPipeline:
@@ -40,23 +44,19 @@ class ReconstructionPipeline:
         return self.prior_matrix @ (self.correction @ c)
 
 
-def build_pipeline(
-    vo: VariationOperator, S: np.ndarray, inv_tol: float = 1e-10
-) -> ReconstructionPipeline:
+def build_pipeline(vo: VariationOperator, S: np.ndarray) -> ReconstructionPipeline:
     """Build the least-squares reconstruction pipeline for a sampling matrix.
 
     The prior matrix Q solves ``(F.T @ F) Q = S`` through the variation
     operator's spectral factors (no explicit inverse). The correction is
     ``inv(S.T @ Q)`` when the smallest singular value of that product
-    stays above ``inv_tol`` relative to the largest, and the
+    stays above ``INV_TOL`` relative to the largest, and the
     pseudo-inverse with the same cutoff otherwise.
 
     Raises:
         ValueError: if the sampling matrix has the wrong shape or a
             non-finite entry.
     """
-    if not inv_tol > 0:
-        raise ValueError(f"inv_tol must be positive, got {inv_tol}")
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != vo.dim:
         raise ValueError(
@@ -67,11 +67,11 @@ def build_pipeline(
     prior = vo.solve_gram(S)
     product = S.T @ prior
     sv = np.linalg.svd(product, compute_uv=False)
-    if sv[0] > 0.0 and sv[-1] > inv_tol * sv[0]:
+    if sv[0] > 0.0 and sv[-1] > INV_TOL * sv[0]:
         correction = np.linalg.solve(product, np.eye(product.shape[0]))
         used_pinv = False
     else:
-        correction = np.linalg.pinv(product, rcond=inv_tol)
+        correction = np.linalg.pinv(product, rcond=INV_TOL)
         used_pinv = True
     return ReconstructionPipeline(
         sampling_matrix=S,

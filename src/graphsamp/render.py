@@ -41,8 +41,9 @@ def render_signal_svg(graph: Graph, values: np.ndarray, path) -> None:
     y-axis flipped to SVG conventions.
 
     Raises:
-        ValueError: if the graph has no coordinates or the signal length
-            does not match the vertex count.
+        ValueError: if the graph has no coordinates, or the signal's
+            length does not match the vertex count or it has a
+            non-finite value.
     """
     if graph.coordinates is None:
         raise ValueError("graph has no coordinates to render")
@@ -51,6 +52,8 @@ def render_signal_svg(graph: Graph, values: np.ndarray, path) -> None:
         raise ValueError(
             f"signal length {x.size} does not match {graph.num_vertices} vertices"
         )
+    if not np.all(np.isfinite(x)):
+        raise ValueError("signal has a non-finite value (nan or inf)")
     lo, hi = float(x.min()), float(x.max())
     span = hi - lo
     pos = _MARGIN + np.asarray(graph.coordinates) * (_CANVAS - 2.0 * _MARGIN)

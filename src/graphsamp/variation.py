@@ -51,13 +51,6 @@ class VariationOperator:
         """Dense whitening factor ``diag(1 / sigma) V.T``."""
         return self.singular_vectors.T / self.singular_values[:, None]
 
-    def whiten(self, S: np.ndarray) -> np.ndarray:
-        """Apply the whitening factor, ``whitener @ S``, as a rotation then a row scaling."""
-        S = np.asarray(S, dtype=float)
-        if S.shape[0] != self.dim:
-            raise ValueError(f"expected {self.dim} rows, got shape {S.shape}")
-        return (self.singular_vectors.T @ S) / self.singular_values[:, None]
-
     def solve_gram(self, B: np.ndarray) -> np.ndarray:
         """Solve ``(matrix.T @ matrix) X = B`` through the spectral factors."""
         B = np.asarray(B, dtype=float)

@@ -225,7 +225,7 @@ def test_criterion_05_design_loop_invariants():
         nn = design.nuclear_norms
         monotone &= bool(np.all(np.diff(nn) >= -1e-9 * nn[:-1]))
         converged &= design.converged and design.iterations < 10000
-        full_rank &= numerical_rank(vo.whiten(design.matrix), 1e-8) == 8
+        full_rank &= numerical_rank(vo.whitener @ design.matrix, 1e-8) == 8
     ok = feasible and monotone and converged and full_rank
     line = _report(
         5,

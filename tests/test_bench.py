@@ -95,8 +95,7 @@ class TestExperimentConfig:
     def test_defaults(self):
         cfg = ExperimentConfig(n=32, num_samples=8)
         assert cfg.design.epsilon == pytest.approx(np.sqrt(32 * 8))
-        assert cfg.sampling_ratio == 0.25
-        assert cfg.methods() == (METHOD_PROPOSED, METHOD_RANDOM_VERTEX)
+        assert cfg.baseline == METHOD_RANDOM_VERTEX
 
     def test_mapping_defaults_match_dataclasses(self):
         """A config naming only n and k takes every other value from the dataclasses."""
@@ -104,10 +103,6 @@ class TestExperimentConfig:
         direct = ExperimentConfig(n=32, num_samples=8)
         for f in fields(ExperimentConfig):
             assert getattr(parsed, f.name) == getattr(direct, f.name), f.name
-
-    def test_baseline_none(self):
-        cfg = ExperimentConfig(n=32, num_samples=8, baseline="none")
-        assert cfg.methods() == (METHOD_PROPOSED,)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -118,6 +113,7 @@ class TestExperimentConfig:
             {"n": 16, "num_samples": 4, "graph_k": 16},
             {"n": 16, "num_samples": 4, "trials": 0},
             {"n": 16, "num_samples": 4, "baseline": "oracle"},
+            {"n": 16, "num_samples": 4, "baseline": "none"},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

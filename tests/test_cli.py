@@ -39,9 +39,22 @@ class TestParserDefaults:
             assert args.graph_k == ExperimentConfig(n=32, num_samples=8).graph_k
         defaults = DesignConfig(epsilon=1.0)
         assert design.epsilon == "auto"
-        assert (design.gamma, design.stop_tol, design.max_iter, design.seed) == (
-            defaults.gamma, defaults.stop_tol, defaults.max_iter, defaults.seed
-        )
+        assert (design.max_iter, design.seed) == (defaults.max_iter, defaults.seed)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["design", "--n", "16", "--k", "4", "--out-dir", "o", "--gamma", "2.0"],
+            ["design", "--n", "16", "--k", "4", "--out-dir", "o", "--stop-tol", "1e-4"],
+            ["reconstruct", "--sampling", "S.txt", "--signal", "x.txt", "--out-dir", "o",
+             "--inv-tol", "1e-8"],
+        ],
+    )
+    def test_removed_flag_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
 
 
 class TestDesignCommand:
@@ -140,6 +153,26 @@ class TestReconstructCommand:
         assert rc == 1
         assert "mse" not in captured.out
         assert captured.err.startswith(f"error: {xpath}: non-finite")
+
+    def test_malformed_signal_file_names_file(self, tmp_path, graph_file, capsys):
+        g, gpath = graph_file
+        out = tmp_path / "design"
+        assert main(["design", "--graph", str(gpath), "--k", "6", "--out-dir", str(out)]) == 0
+        capsys.readouterr()  # drain the design command output
+        xpath = tmp_path / "x.txt"
+        xpath.write_text("n 24\n" + "0.5\n" * 23 + "abc\n")
+        rc = main(
+            [
+                "reconstruct",
+                "--graph", str(gpath),
+                "--sampling", str(out / "S.txt"),
+                "--signal", str(xpath),
+                "--out-dir", str(tmp_path / "rec"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {xpath}: could not convert string to float: 'abc'")
 
 
 class TestBenchCommand:

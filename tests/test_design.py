@@ -25,7 +25,7 @@ from graphsamp import (
     project_frobenius_ball,
     random_sensor_graph,
 )
-from graphsamp.design import SamplingDesign, _polar_factor
+from graphsamp.design import STOP_TOL, SamplingDesign, _polar_factor
 
 
 def _whitener(n, seed):
@@ -47,9 +47,7 @@ def _reference_design(whitener, num_samples, config):
     iterations = 0
     for _ in range(int(config.max_iter)):
         G, s = _polar_factor(A @ S)
-        S_next = project_frobenius_ball(
-            S + config.gamma * (A.T @ G), config.epsilon
-        )
+        S_next = project_frobenius_ball(S + A.T @ G, config.epsilon)
         step = float(np.linalg.norm(S_next - S))
         current = float(np.linalg.norm(S))
         nuc.append(float(np.sum(s)))
@@ -57,7 +55,7 @@ def _reference_design(whitener, num_samples, config):
         frobs.append(current)
         S = S_next
         iterations += 1
-        if step <= config.stop_tol * current:
+        if step <= STOP_TOL * current:
             converged = True
             break
     return SamplingDesign(
@@ -71,10 +69,13 @@ def _reference_design(whitener, num_samples, config):
 
 
 def _random_whitener(n, seed):
-    """A square whitener whose rows are not orthogonal."""
-    A = np.random.default_rng(seed).standard_normal((n, n))
-    assert abs(A[0] @ A[1]) > 1e-3 * np.linalg.norm(A[0]) * np.linalg.norm(A[1])
-    return A
+    """``diag(d) Q.T`` with a random orthogonal Q and unsorted positive d,
+    a row-orthogonal whitener not built from any graph."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    d = rng.uniform(0.5, 3.0, n)
+    assert np.any(np.diff(d) > 0) and np.any(np.diff(d) < 0)
+    return d[:, None] * Q.T
 
 
 class TestProjectFrobeniusBall:
@@ -171,24 +172,20 @@ class TestNumericalRank:
 class TestDesignConfig:
     def test_default_settings(self):
         cfg = DesignConfig(epsilon=default_radius(256, 32))
-        assert cfg.gamma == 1.0
-        assert cfg.stop_tol == 1e-5
+        assert STOP_TOL == 1e-5
         assert cfg.max_iter == 10000
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"epsilon": 0.0},
-            {"epsilon": 1.0, "gamma": 0.0},
-            {"epsilon": 1.0, "stop_tol": 0.0},
-            {"epsilon": 1.0, "stop_tol": 1.0},
+            {"epsilon": -1.0},
             {"epsilon": 1.0, "max_iter": 0},
+            {"epsilon": 1.0, "max_iter": -1},
             {"epsilon": 1.0, "seed": -1},
             {"epsilon": float("inf")},
             {"epsilon": float("nan")},
-            {"epsilon": 1.0, "gamma": float("inf")},
-            {"epsilon": 1.0, "gamma": float("nan")},
-            {"epsilon": 1.0, "stop_tol": float("nan")},
+            {"epsilon": float("-inf")},
             {"epsilon": 1.0, "seed": 2**64},
         ],
     )
@@ -196,6 +193,12 @@ class TestDesignConfig:
         field = next((key for key in kwargs if key != "epsilon"), "epsilon")
         with pytest.raises(ValueError, match=field):
             DesignConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["gamma", "stop_tol"])
+    def test_removed_field_rejected(self, field):
+        """The step is always ``d * G`` and the stop tolerance is ``STOP_TOL``."""
+        with pytest.raises(TypeError, match=field):
+            DesignConfig(epsilon=1.0, **{field: 1e-3})
 
 
 class TestDesignSamplingOperator:
@@ -241,10 +244,10 @@ class TestDesignSamplingOperator:
         assert design.iterations < cfg.max_iter
         final_norm = np.linalg.norm(design.matrix)
         # stopping rule: the recorded final step is below tol relative to its iterate
-        assert design.step_norms[-1] <= cfg.stop_tol * design.frobenius_norms[-1]
+        assert design.step_norms[-1] <= STOP_TOL * design.frobenius_norms[-1]
         # steps near the end have collapsed to the stopping scale
         tail = design.step_norms[-10:]
-        assert np.all(tail <= 20.0 * cfg.stop_tol * final_norm)
+        assert np.all(tail <= 20.0 * STOP_TOL * final_norm)
 
     def test_full_rank_at_convergence(self):
         """Whitened design has full column rank at the default settings."""
@@ -280,6 +283,23 @@ class TestDesignSamplingOperator:
             design_sampling_operator(np.eye(4), 4, cfg)
         with pytest.raises(ValueError, match="num_samples"):
             design_sampling_operator(np.eye(4), 0, cfg)
+
+    def test_zero_row_whitener_rejected(self):
+        """Orthogonal rows, but row 2 is zero: the whitener is singular."""
+        with pytest.raises(ValueError, match="whitener row 2 is zero"):
+            design_sampling_operator(np.diag([1.0, 3.0, 0.0, 2.0]), 1, DesignConfig(epsilon=1.0))
+
+    @pytest.mark.parametrize("case", ["gaussian", "tilted"])
+    def test_non_orthogonal_whitener_rejected(self, case):
+        """A Gaussian matrix, and the identity with rows 0 and 1 at cosine
+        1e-9, past the 1e-12 tolerance."""
+        if case == "gaussian":
+            A = np.random.default_rng(0).standard_normal((8, 8))
+        else:
+            A = np.eye(8)
+            A[0, 1] = 1e-9
+        with pytest.raises(ValueError, match="whitener rows are not orthogonal"):
+            design_sampling_operator(A, 2, DesignConfig(epsilon=1.0))
 
 
 class TestSpectralLoopAgainstDenseLoop:

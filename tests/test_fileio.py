@@ -5,6 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from graphsamp import (
     Graph,
@@ -66,6 +69,23 @@ class TestGraphFormat:
         with pytest.raises(ValueError, match="edge"):
             load_graph(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n two\n0 1 1.0\n",
+            "n 2\ncoords\n0.0 0.0\n0.5 abc\n0 1 1.0\n",
+            "n 2\ncoords\n0.0 0.0\n0.5 1.0 2.0\n0 1 1.0\n",
+            "n 2\n0 1.5 1.0\n",
+            "n 2\n0 1 heavy\n",
+        ],
+        ids=["header", "coord", "coords-line", "index", "weight"],
+    )
+    def test_malformed_number_names_file(self, tmp_path, text):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_graph(path)
+
 
 class TestMatrixFormat:
     def test_round_trip_exact(self, tmp_path):
@@ -84,6 +104,13 @@ class TestMatrixFormat:
         path = tmp_path / "m.txt"
         path.write_text("2 2\n1.0 2.0 3.0\n")
         with pytest.raises(ValueError, match="entries"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("text", ["2 x\n1.0 2.0\n", "1 2\n1.0 abc\n"], ids=["header", "entry"])
+    def test_malformed_number_names_file(self, tmp_path, text):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             load_matrix(path)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -112,12 +139,76 @@ class TestSignalFormat:
         with pytest.raises(ValueError, match="expected 3"):
             load_signal(path)
 
+    @pytest.mark.parametrize("text", ["n 2.0\n1.0\n2.0\n", "n 2\n1.0\nabc\n"], ids=["header", "value"])
+    def test_malformed_number_names_file(self, tmp_path, text):
+        path = tmp_path / "x.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_signal(path)
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_value_rejected(self, tmp_path, bad):
         path = tmp_path / "x.txt"
         path.write_text(f"n 3\n1.0\n{bad}\n2.0\n")
         with pytest.raises(ValueError, match=f"{path}: non-finite"):
             load_signal(path)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _same_bits(a, b):
+    """Equal shapes and bit patterns, so -0.0 and 0.0 count as different."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@st.composite
+def _graphs(draw):
+    """Connected graphs: a random spanning tree plus random extra edges."""
+    n = draw(st.integers(1, 8))
+    weights = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    edges = {}
+    for v in range(1, n):
+        edges[(draw(st.integers(0, v - 1)), v)] = draw(weights)
+    if n > 1:
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        for pair in draw(st.lists(st.sampled_from(pairs), max_size=6)):
+            edges[pair] = draw(weights)
+    coords = draw(st.none() | arrays(np.float64, (n, 2), elements=_FINITE))
+    return Graph(n, [(u, v, w) for (u, v), w in edges.items()], coordinates=coords)
+
+
+class TestRoundTripProperties:
+    """Saving then loading gives back every finite float bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(M=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)), elements=_FINITE))
+    def test_matrix(self, tmp_path_factory, M):
+        path = tmp_path_factory.mktemp("m") / "m.txt"
+        save_matrix(M, path)
+        assert _same_bits(load_matrix(path), M)
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=arrays(np.float64, st.integers(0, 20), elements=_FINITE))
+    def test_signal(self, tmp_path_factory, x):
+        path = tmp_path_factory.mktemp("x") / "x.txt"
+        save_signal(x, path)
+        assert _same_bits(load_signal(path), x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=_graphs())
+    def test_graph(self, tmp_path_factory, g):
+        path = tmp_path_factory.mktemp("g") / "g.txt"
+        save_graph(g, path)
+        loaded = load_graph(path)
+        assert loaded.num_vertices == g.num_vertices
+        assert [(u, v) for u, v, _ in loaded.edges] == [(u, v) for u, v, _ in g.edges]
+        assert _same_bits([w for *_, w in loaded.edges], [w for *_, w in g.edges])
+        if g.coordinates is None:
+            assert loaded.coordinates is None
+        else:
+            assert _same_bits(loaded.coordinates, g.coordinates)
 
 
 class TestTraceCsv:
@@ -156,8 +247,7 @@ class TestExperimentConfigFile:
                     "model.kind pwl",
                     "model.density 0.25",
                     "design.epsilon auto",
-                    "design.gamma 0.5",
-                    "design.stop_tol 1e-4",
+                    "design.max_iter 50",
                 ]
             )
             + "\n"
@@ -168,8 +258,7 @@ class TestExperimentConfigFile:
         assert cfg.fixed_graph is True
         assert cfg.model.kind == "pwl" and cfg.model.density == 0.25
         assert cfg.design.epsilon == pytest.approx(np.sqrt(32 * 8))
-        assert cfg.design.gamma == 0.5
-        assert cfg.design.stop_tol == 1e-4
+        assert cfg.design.max_iter == 50
 
     def test_overrides_win(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -199,15 +288,19 @@ class TestExperimentConfigFile:
         with pytest.raises(ValueError, match="unknown config key"):
             load_experiment_config(path)
 
-    @pytest.mark.parametrize("key", ["model.seed", "design.t_mode", "design.rank_tol"])
+    @pytest.mark.parametrize(
+        "key",
+        ["model.seed", "design.t_mode", "design.rank_tol", "design.gamma", "design.stop_tol"],
+    )
     def test_removed_key_rejected(self, key):
         """Keys of removed settings are unknown: signals draw from the trial's
-        own stream, and the design step is always the polar factor."""
+        own stream, the design step is always the polar factor scaled by d,
+        and the loop's stop tolerance is a constant."""
         with pytest.raises(ValueError, match=f"unknown config keys: {re.escape(key)}$"):
             config_from_mapping({"n": "32", "k": "8", key: "4"})
 
     @pytest.mark.parametrize(
-        "line", ["trials many", "design.gamma fast", "fixed_graph maybe"]
+        "line", ["trials many", "design.max_iter fast", "fixed_graph maybe"]
     )
     def test_bad_value_names_key(self, tmp_path, line):
         key = line.split()[0]

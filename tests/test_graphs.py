@@ -68,6 +68,17 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="out of range"):
             Graph(2, [(0, 2, 1.0)])
 
+    @pytest.mark.parametrize("edge", [(0.7, 1, 1.0), (0, 1.0, 1.0), ("0", 1, 1.0)])
+    def test_non_integer_vertex_index_rejected(self, edge):
+        """An index is never truncated or parsed: (0.7, 1) is not edge (0, 1)."""
+        with pytest.raises(ValueError, match=r"non-integer vertex index"):
+            Graph(2, [edge])
+
+    def test_numpy_integer_indices_accepted(self):
+        g = Graph(2, [(np.int64(1), np.int32(0), 1.0)])
+        assert g.edges == [(0, 1, 1.0)]
+        assert type(g.edges[0][0]) is int
+
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="not connected"):
             Graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
@@ -222,3 +233,11 @@ class TestEigendecompose:
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError, match="square"):
             eigendecompose(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        """NaN passes the symmetry comparison, so it is checked on its own."""
+        M = np.eye(3)
+        M[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            eigendecompose(M)

@@ -57,3 +57,11 @@ class TestRenderSignalSvg:
         g = Graph(2, [(0, 1, 1.0)], coordinates=np.array([[0.0, 0.0], [1.0, 1.0]]))
         with pytest.raises(ValueError, match="length"):
             render_signal_svg(g, np.zeros(3), tmp_path / "fig.svg")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_signal_rejected(self, tmp_path, bad):
+        g = Graph(2, [(0, 1, 1.0)], coordinates=np.array([[0.0, 0.0], [1.0, 1.0]]))
+        out = tmp_path / "fig.svg"
+        with pytest.raises(ValueError, match="non-finite"):
+            render_signal_svg(g, np.array([0.0, bad]), out)
+        assert not out.exists()

@@ -77,37 +77,38 @@ class TestWhitener:
         _, vo = _sensor_operator(16, seed=1)
         rng = np.random.RandomState(0)
         S = rng.randn(16, 5)
-        lhs = vo.whiten(S).T @ vo.whiten(S)
+        lhs = (vo.whitener @ S).T @ (vo.whitener @ S)
         gram_inv = np.linalg.inv(vo.matrix.T @ vo.matrix)
         rhs = S.T @ gram_inv @ S
         scale = np.max(np.abs(rhs))
         assert np.max(np.abs(lhs - rhs)) <= 1e-6 * scale
 
     def test_whiten_matches_triple_loop(self):
-        """Naive O(n^3) multiply oracle."""
+        """Naive O(n^3) oracle of ``diag(1 / sigma) V.T @ S`` from the spectral factors."""
         _, vo = _sensor_operator(8, seed=2)
         rng = np.random.RandomState(1)
         S = rng.randn(8, 3)
+        V, sigma = vo.singular_vectors, vo.singular_values
         expected = np.zeros((8, 3))
         for i in range(8):
             for j in range(3):
                 acc = 0.0
                 for k in range(8):
-                    acc += vo.whitener[i, k] * S[k, j]
+                    acc += V[k, i] * S[k, j] / sigma[i]
                 expected[i, j] = acc
-        np.testing.assert_allclose(vo.whiten(S), expected, atol=1e-10)
+        np.testing.assert_allclose(vo.whitener @ S, expected, atol=1e-10)
 
     def test_whiten_identity_and_zero(self):
         spectrum = eigendecompose(np.diag([1.0, 2.0, 3.0]))
         vo = build_variation_operator(spectrum, SpectralResponse(0.0, 1.0))
         S = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_allclose(vo.whiten(S), S)
-        np.testing.assert_array_equal(vo.whiten(np.zeros((3, 2))), np.zeros((3, 2)))
+        np.testing.assert_allclose(vo.whitener @ S, S)
+        np.testing.assert_array_equal(vo.whitener @ np.zeros((3, 2)), np.zeros((3, 2)))
 
-    def test_whiten_dimension_mismatch(self):
+    def test_solve_gram_dimension_mismatch(self):
         _, vo = _sensor_operator(8, seed=2)
         with pytest.raises(ValueError, match="rows"):
-            vo.whiten(np.zeros((9, 2)))
+            vo.solve_gram(np.zeros((9, 2)))
 
     def test_solve_gram_matches_dense_inverse(self):
         _, vo = _sensor_operator(16, seed=4)
@@ -139,7 +140,7 @@ class TestSmoothnessIdentities:
         deficient = full.copy()
         deficient[:, 3] = deficient[:, 0]
         for S, expect_invertible in ((full, True), (deficient, False)):
-            sv = np.linalg.svd(vo.whiten(S), compute_uv=False)
+            sv = np.linalg.svd(vo.whitener @ S, compute_uv=False)
             eigs = np.abs(np.linalg.eigvalsh(S.T @ gram_inv @ S))
             sv_ok = sv[-1] > 1e-10 * sv[0]
             eig_ok = eigs.min() > 1e-10 * eigs.max()
