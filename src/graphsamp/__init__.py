@@ -27,9 +27,6 @@ from .design import (
     DesignConfig,
     SamplingDesign,
     design_sampling_operator,
-    nuclear_norm,
-    nuclear_subgradient,
-    numerical_rank,
     project_frobenius_ball,
 )
 from .fileio import (
@@ -68,9 +65,6 @@ __all__ = [
     "DesignConfig",
     "SamplingDesign",
     "design_sampling_operator",
-    "nuclear_norm",
-    "nuclear_subgradient",
-    "numerical_rank",
     "project_frobenius_ball",
     "load_graph",
     "load_matrix",

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import DesignConfig, design_sampling_operator
+from .design import DesignConfig, _integer, design_sampling_operator
 from .fileio import _fmt
 from .graphs import eigendecompose, laplacian, random_sensor_graph
 from .reconstruct import build_pipeline, sample
@@ -62,6 +62,8 @@ class ExperimentConfig:
     fixed_graph: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("n", "num_samples", "graph_k", "trials", "master_seed"):
+            _integer(name, getattr(self, name))
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
         if not 1 <= self.num_samples < self.n:

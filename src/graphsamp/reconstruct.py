@@ -8,8 +8,8 @@ import numpy as np
 
 from .variation import VariationOperator
 
-# smallest singular value of S.T @ prior, relative to the largest, for
-# which the correction is the plain inverse; also the pseudo-inverse cutoff
+# singular values of S.T @ prior at or below INV_TOL times the largest
+# are left out of the correction's (pseudo-)inverse
 INV_TOL = 1e-10
 
 
@@ -48,10 +48,10 @@ def build_pipeline(vo: VariationOperator, S: np.ndarray) -> ReconstructionPipeli
     """Build the least-squares reconstruction pipeline for a sampling matrix.
 
     The prior matrix Q solves ``(F.T @ F) Q = S`` through the variation
-    operator's spectral factors (no explicit inverse). The correction is
-    ``inv(S.T @ Q)`` when the smallest singular value of that product
-    stays above ``INV_TOL`` relative to the largest, and the
-    pseudo-inverse with the same cutoff otherwise.
+    operator's spectral factors (no explicit inverse). The correction
+    inverts ``S.T @ Q`` through its SVD, keeping the singular values
+    above ``INV_TOL`` relative to the largest: the inverse when all are
+    kept, the pseudo-inverse with that cutoff otherwise.
 
     Raises:
         ValueError: if the sampling matrix has the wrong shape or a
@@ -66,18 +66,13 @@ def build_pipeline(vo: VariationOperator, S: np.ndarray) -> ReconstructionPipeli
         raise ValueError("sampling matrix has non-finite entries")
     prior = vo.solve_gram(S)
     product = S.T @ prior
-    sv = np.linalg.svd(product, compute_uv=False)
-    if sv[0] > 0.0 and sv[-1] > INV_TOL * sv[0]:
-        correction = np.linalg.solve(product, np.eye(product.shape[0]))
-        used_pinv = False
-    else:
-        correction = np.linalg.pinv(product, rcond=INV_TOL)
-        used_pinv = True
+    U, s, Vt = np.linalg.svd(product)
+    keep = s > INV_TOL * s[0]
     return ReconstructionPipeline(
         sampling_matrix=S,
         prior_matrix=prior,
-        correction=correction,
-        used_pseudo_inverse=used_pinv,
+        correction=(Vt[keep].T / s[keep]) @ U[:, keep].T,
+        used_pseudo_inverse=not keep.all(),
     )
 
 

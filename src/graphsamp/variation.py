@@ -21,6 +21,37 @@ class SpectralResponse:
 
 
 @dataclass(frozen=True, eq=False)
+class Whitener:
+    """Whitening factor ``diag(scales) @ basis.T``, kept as its two factors.
+
+    ``basis`` is an orthogonal n x n matrix and ``scales`` n positive,
+    finite row scales; orthogonality is the caller's contract, as it is
+    for ``VariationOperator.singular_vectors``, and is not re-checked.
+
+    Raises:
+        ValueError: on mismatched shapes, or a scale that is not
+            positive and finite (a zero scale is a zero whitener row).
+    """
+
+    scales: np.ndarray
+    basis: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = self.scales.size
+        if self.scales.shape != (n,) or self.basis.shape != (n, n):
+            raise ValueError(
+                f"whitener needs n scales and an n x n basis, got shapes "
+                f"{self.scales.shape} and {self.basis.shape}"
+            )
+        bad = np.flatnonzero(~(np.isfinite(self.scales) & (self.scales > 0.0)))
+        if bad.size:
+            raise ValueError(
+                f"whitener scale {bad[0]} must be positive and finite, "
+                f"got {self.scales[bad[0]]}"
+            )
+
+
+@dataclass(frozen=True, eq=False)
 class VariationOperator:
     """Invertible operator measuring signal variation, stored as its SVD factors.
 
@@ -29,9 +60,9 @@ class VariationOperator:
     ``singular_values`` (descending) and the orthogonal
     ``singular_vectors`` are stored. ``matrix`` is
     ``singular_vectors @ diag(singular_values) @ singular_vectors.T``
-    and ``whitener`` is ``diag(1 / singular_values) @ singular_vectors.T``,
-    which satisfies ``whitener.T @ whitener == inv(matrix.T @ matrix)``;
-    both are assembled on each access.
+    (assembled on each access) and ``whitener`` is the factored
+    ``W = diag(1 / singular_values) @ singular_vectors.T``, for which
+    ``W.T @ W == inv(matrix.T @ matrix)``.
     """
 
     singular_values: np.ndarray
@@ -47,9 +78,9 @@ class VariationOperator:
         return (self.singular_vectors * self.singular_values) @ self.singular_vectors.T
 
     @property
-    def whitener(self) -> np.ndarray:
-        """Dense whitening factor ``diag(1 / sigma) V.T``."""
-        return self.singular_vectors.T / self.singular_values[:, None]
+    def whitener(self) -> Whitener:
+        """Whitening factor ``diag(1 / sigma) V.T``, in factored form."""
+        return Whitener(1.0 / self.singular_values, self.singular_vectors)
 
     def solve_gram(self, B: np.ndarray) -> np.ndarray:
         """Solve ``(matrix.T @ matrix) X = B`` through the spectral factors."""

@@ -23,6 +23,7 @@ K largest eigenvalues, divided by n:
 
 import numpy as np
 import pytest
+from helpers import dense_whitener, nuclear_norm, nuclear_subgradient, numerical_rank
 
 from graphsamp import (
     DesignConfig,
@@ -38,9 +39,6 @@ from graphsamp import (
     gmrf_signal,
     kkt_reconstruct,
     laplacian,
-    nuclear_norm,
-    nuclear_subgradient,
-    numerical_rank,
     project_frobenius_ball,
     pwl_signal,
     random_sensor_graph,
@@ -49,6 +47,7 @@ from graphsamp import (
     trial_seeds,
 )
 from graphsamp.cli import main as cli_main
+from graphsamp.variation import Whitener
 
 
 def _report(number: int, name: str, ok: bool, detail: str) -> str:
@@ -225,7 +224,7 @@ def test_criterion_05_design_loop_invariants():
         nn = design.nuclear_norms
         monotone &= bool(np.all(np.diff(nn) >= -1e-9 * nn[:-1]))
         converged &= design.converged and design.iterations < 10000
-        full_rank &= numerical_rank(vo.whitener @ design.matrix, 1e-8) == 8
+        full_rank &= numerical_rank(dense_whitener(vo.whitener) @ design.matrix, 1e-8) == 8
     ok = feasible and monotone and converged and full_rank
     line = _report(
         5,
@@ -242,7 +241,8 @@ def test_criterion_06_identity_whitener_fixed_point():
     nuclear norm within 1% of eps*sqrt(K)."""
     n, K = 16, 4
     epsilon = default_radius(n, K)
-    design = design_sampling_operator(np.eye(n), K, DesignConfig(epsilon=epsilon, seed=6))
+    identity = Whitener(np.ones(n), np.eye(n))
+    design = design_sampling_operator(identity, K, DesignConfig(epsilon=epsilon, seed=6))
     singular = np.linalg.svd(design.matrix, compute_uv=False)
     target = epsilon / np.sqrt(K)
     sv_ok = bool(np.all(np.abs(singular - target) <= 0.01 * target))
@@ -294,7 +294,7 @@ def test_criterion_08_subgradient_inequality():
     """1e3 random (S, Y) probes at n=16, K=4, G the polar factor of AS:
     ||AY||_* >= ||AS||_* + <Y - S, A^T G> - 1e-8*scale."""
     _, _, vo = _sensor_operator(16, graph_seed=8, k=4)
-    A = vo.whitener
+    A = dense_whitener(vo.whitener)
     rng = np.random.default_rng(80)
     worst = -np.inf
     ok = True

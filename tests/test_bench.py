@@ -114,11 +114,18 @@ class TestExperimentConfig:
             {"n": 16, "num_samples": 4, "trials": 0},
             {"n": 16, "num_samples": 4, "baseline": "oracle"},
             {"n": 16, "num_samples": 4, "baseline": "none"},
+            {"n": 32.5, "num_samples": 8},
+            {"n": 16, "num_samples": 4.0},
+            {"n": 16, "num_samples": 4, "graph_k": 2.5},
+            {"n": 16, "num_samples": 4, "trials": 2.5},
+            {"n": 16, "num_samples": 4, "master_seed": 0.5},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        """Each error starts with the name of a field it was given."""
+        with pytest.raises(ValueError) as info:
             ExperimentConfig(**kwargs)
+        assert str(info.value).split()[0] in kwargs
 
 
 class TestRunTrial:

@@ -1,15 +1,19 @@
 """Projection, nuclear-norm subgradient, and the design loop invariants.
 
 Oracles:
-- the design loop: the dense loop on ``whitener @ S``, kept here as the
-  reference for the spectral-coordinate loop;
+- the design loop: the dense loop on ``A @ S``, A the whitener's dense
+  matrix, kept here as the reference for the spectral-coordinate loop;
 - the design optimum: ``max ||A S||_* over ||S||_F <= eps`` equals
   ``eps * ||d_(1..K)||_2`` (von Neumann, then Cauchy-Schwarz), with d the
   singular values of A.
 """
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from helpers import dense_whitener, nuclear_norm, nuclear_subgradient, numerical_rank
 
 from graphsamp import (
     DesignConfig,
@@ -19,33 +23,39 @@ from graphsamp import (
     design_sampling_operator,
     eigendecompose,
     laplacian,
-    nuclear_norm,
-    nuclear_subgradient,
-    numerical_rank,
     project_frobenius_ball,
     random_sensor_graph,
 )
 from graphsamp.design import STOP_TOL, SamplingDesign, _polar_factor
+from graphsamp.variation import Whitener
+
+
+def _operator(n, seed):
+    g = random_sensor_graph(n, min(6, n - 1), seed)
+    spectrum = eigendecompose(laplacian(g))
+    return build_variation_operator(spectrum, SpectralResponse(1.0, 0.1))
 
 
 def _whitener(n, seed):
-    g = random_sensor_graph(n, min(6, n - 1), seed)
-    spectrum = eigendecompose(laplacian(g))
-    return build_variation_operator(spectrum, SpectralResponse(1.0, 0.1)).whitener
+    return _operator(n, seed).whitener
+
+
+def _identity(n):
+    return Whitener(np.ones(n), np.eye(n))
 
 
 def _reference_design(whitener, num_samples, config):
     """The dense loop: two n x n products per iteration, on S itself."""
-    A = np.asarray(whitener, dtype=float)
+    A = dense_whitener(whitener)
     n = A.shape[0]
-    rng = np.random.default_rng(int(config.seed))
+    rng = np.random.default_rng(config.seed)
     S = project_frobenius_ball(
         rng.standard_normal((n, num_samples)), config.epsilon
     )
     nuc, steps, frobs = [], [], []
     converged = False
     iterations = 0
-    for _ in range(int(config.max_iter)):
+    for _ in range(config.max_iter):
         G, s = _polar_factor(A @ S)
         S_next = project_frobenius_ball(S + A.T @ G, config.epsilon)
         step = float(np.linalg.norm(S_next - S))
@@ -69,13 +79,13 @@ def _reference_design(whitener, num_samples, config):
 
 
 def _random_whitener(n, seed):
-    """``diag(d) Q.T`` with a random orthogonal Q and unsorted positive d,
-    a row-orthogonal whitener not built from any graph."""
+    """``Whitener(d, Q)`` with a random orthogonal Q and unsorted positive d,
+    a whitener not built from any graph."""
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     d = rng.uniform(0.5, 3.0, n)
     assert np.any(np.diff(d) > 0) and np.any(np.diff(d) < 0)
-    return d[:, None] * Q.T
+    return Whitener(d, Q)
 
 
 class TestProjectFrobeniusBall:
@@ -187,6 +197,10 @@ class TestDesignConfig:
             {"epsilon": float("nan")},
             {"epsilon": float("-inf")},
             {"epsilon": 1.0, "seed": 2**64},
+            {"epsilon": 1.0, "max_iter": 2.5},
+            {"epsilon": 1.0, "max_iter": float("inf")},
+            {"epsilon": 1.0, "max_iter": float("nan")},
+            {"epsilon": 1.0, "seed": 0.5},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -207,7 +221,7 @@ class TestDesignSamplingOperator:
         singular values eps/sqrt(K) and nuclear norm eps*sqrt(K)."""
         n, K = 16, 4
         eps = default_radius(n, K)
-        design = design_sampling_operator(np.eye(n), K, DesignConfig(epsilon=eps, seed=0))
+        design = design_sampling_operator(_identity(n), K, DesignConfig(epsilon=eps, seed=0))
         assert design.converged
         sv = np.linalg.svd(design.matrix, compute_uv=False)
         np.testing.assert_allclose(sv, np.full(K, eps / np.sqrt(K)), rtol=0.01)
@@ -256,7 +270,7 @@ class TestDesignSamplingOperator:
             K = n // 8
             design = design_sampling_operator(A, K, DesignConfig(epsilon=default_radius(n, K), seed=seed))
             assert design.converged
-            assert numerical_rank(A @ design.matrix, 1e-8) == K
+            assert numerical_rank(dense_whitener(A) @ design.matrix, 1e-8) == K
 
     def test_trace_lengths_match_iterations(self):
         A = _whitener(16, seed=8)
@@ -275,31 +289,30 @@ class TestDesignSamplingOperator:
 
     def test_bad_arguments_rejected(self):
         cfg = DesignConfig(epsilon=1.0)
-        with pytest.raises(ValueError, match="square"):
-            design_sampling_operator(np.zeros((3, 2)), 1, cfg)
-        with pytest.raises(ValueError, match="whitener"):
-            design_sampling_operator(np.diag([1.0, np.nan, 1.0, 1.0]), 1, cfg)
         with pytest.raises(ValueError, match="num_samples"):
-            design_sampling_operator(np.eye(4), 4, cfg)
+            design_sampling_operator(_identity(4), 4, cfg)
         with pytest.raises(ValueError, match="num_samples"):
-            design_sampling_operator(np.eye(4), 0, cfg)
+            design_sampling_operator(_identity(4), 0, cfg)
 
     def test_zero_row_whitener_rejected(self):
-        """Orthogonal rows, but row 2 is zero: the whitener is singular."""
-        with pytest.raises(ValueError, match="whitener row 2 is zero"):
-            design_sampling_operator(np.diag([1.0, 3.0, 0.0, 2.0]), 1, DesignConfig(epsilon=1.0))
+        """Scale 2 is zero, so row 2 of ``diag(scales) basis.T`` is zero and
+        the whitener is singular; it is refused before any design runs."""
+        with pytest.raises(ValueError, match="whitener scale 2 must be positive"):
+            Whitener(np.array([1.0, 3.0, 0.0, 2.0]), np.eye(4))
 
-    @pytest.mark.parametrize("case", ["gaussian", "tilted"])
-    def test_non_orthogonal_whitener_rejected(self, case):
-        """A Gaussian matrix, and the identity with rows 0 and 1 at cosine
-        1e-9, past the 1e-12 tolerance."""
-        if case == "gaussian":
-            A = np.random.default_rng(0).standard_normal((8, 8))
-        else:
-            A = np.eye(8)
-            A[0, 1] = 1e-9
-        with pytest.raises(ValueError, match="whitener rows are not orthogonal"):
-            design_sampling_operator(A, 2, DesignConfig(epsilon=1.0))
+    def test_factored_design_allocates_no_square_array(self):
+        """Reading ``vo.whitener`` and designing with it at n=512, K=32 peaks
+        below one n x n float array: no dense whitener, no ``A @ A.T``."""
+        n = 512
+        vo = _operator(n, seed=0)
+        cfg = DesignConfig(epsilon=default_radius(n, 32), seed=1, max_iter=3)
+        tracemalloc.start()
+        try:
+            design_sampling_operator(vo.whitener, 32, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
 
 
 class TestSpectralLoopAgainstDenseLoop:
@@ -318,7 +331,7 @@ class TestSpectralLoopAgainstDenseLoop:
         if kind == "variation":
             A = _whitener(n, seed=n)
         elif kind == "identity":
-            A = np.eye(n)
+            A = _identity(n)
         else:
             A = _random_whitener(n, seed=n)
         K = max(n // 8, 4)
@@ -339,11 +352,12 @@ class TestSpectralLoopAgainstDenseLoop:
 class TestClosedFormCertificate:
     def _check(self, A, K, seed):
         """``||A S||_*`` of a converged design is within 1e-4 below the optimum."""
-        eps = default_radius(A.shape[0], K)
+        dense = dense_whitener(A)
+        eps = default_radius(dense.shape[0], K)
         design = design_sampling_operator(A, K, DesignConfig(epsilon=eps, seed=seed))
         assert design.converged
-        achieved = nuclear_norm(A @ design.matrix)
-        bound = eps * np.linalg.norm(np.linalg.svd(A, compute_uv=False)[:K])
+        achieved = nuclear_norm(dense @ design.matrix)
+        bound = eps * np.linalg.norm(np.linalg.svd(dense, compute_uv=False)[:K])
         assert achieved <= bound * (1 + 1e-12)
         assert achieved >= bound * (1 - 1e-4)
 
@@ -358,4 +372,16 @@ class TestClosedFormCertificate:
     def test_identity_tie_compares_nuclear_norms(self):
         """With d constant every K-frame of the right size is optimal, so
         only the nuclear norm is compared, never the matrix."""
-        self._check(np.eye(16), 4, seed=0)
+        self._check(_identity(16), 4, seed=0)
+
+
+def test_readme_library_example(capsys):
+    """The README's library example runs as written and prints a finite MSE."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    block = section.split("```python", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["design"].converged
+    assert not namespace["pipeline"].used_pseudo_inverse
+    assert 0.0 < float(capsys.readouterr().out) < 1.0

@@ -214,9 +214,10 @@ class TestRoundTripProperties:
 class TestTraceCsv:
     def test_columns_and_length(self, tmp_path):
         from graphsamp import DesignConfig, design_sampling_operator
+        from graphsamp.variation import Whitener
 
         design = design_sampling_operator(
-            np.eye(8), 2, DesignConfig(epsilon=4.0, seed=0)
+            Whitener(np.ones(8), np.eye(8)), 2, DesignConfig(epsilon=4.0, seed=0)
         )
         path = tmp_path / "trace.csv"
         save_trace_csv(design, path)

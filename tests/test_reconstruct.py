@@ -13,6 +13,7 @@ from graphsamp import (
     random_sensor_graph,
     sample,
 )
+from graphsamp.reconstruct import INV_TOL
 
 
 def _identity_operator(n):
@@ -49,6 +50,9 @@ class TestBuildPipeline:
         S[:, 3] = S[:, 0]
         p = build_pipeline(vo, S)
         assert p.used_pseudo_inverse
+        expected = np.linalg.pinv(S.T @ p.prior_matrix, rcond=INV_TOL)
+        scale = np.abs(expected).max()
+        np.testing.assert_allclose(p.correction, expected, rtol=1e-8, atol=1e-12 * scale)
 
     def test_prior_matrix_matches_dense_inverse(self):
         """Dense inverse oracle for (F*F)^-1 S."""

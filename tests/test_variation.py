@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import dense_whitener
 
 from graphsamp import (
     SpectralResponse,
@@ -10,6 +11,7 @@ from graphsamp import (
     laplacian,
     random_sensor_graph,
 )
+from graphsamp.variation import Whitener
 
 
 def _sensor_operator(n, seed, slope=1.0, offset=0.1):
@@ -46,7 +48,7 @@ class TestBuildVariationOperator:
         spectrum = eigendecompose(np.diag([1.0, 2.0, 3.0]))
         vo = build_variation_operator(spectrum, SpectralResponse(0.0, 1.0))
         np.testing.assert_allclose(vo.matrix, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(vo.whitener, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(dense_whitener(vo.whitener), np.eye(3), atol=1e-12)
 
     def test_nonpositive_response_rejected(self):
         """lam + 0 is zero at the Laplacian DC mode, so the operator is singular."""
@@ -77,7 +79,8 @@ class TestWhitener:
         _, vo = _sensor_operator(16, seed=1)
         rng = np.random.RandomState(0)
         S = rng.randn(16, 5)
-        lhs = (vo.whitener @ S).T @ (vo.whitener @ S)
+        AS = dense_whitener(vo.whitener) @ S
+        lhs = AS.T @ AS
         gram_inv = np.linalg.inv(vo.matrix.T @ vo.matrix)
         rhs = S.T @ gram_inv @ S
         scale = np.max(np.abs(rhs))
@@ -96,14 +99,38 @@ class TestWhitener:
                 for k in range(8):
                     acc += V[k, i] * S[k, j] / sigma[i]
                 expected[i, j] = acc
-        np.testing.assert_allclose(vo.whitener @ S, expected, atol=1e-10)
+        np.testing.assert_allclose(dense_whitener(vo.whitener) @ S, expected, atol=1e-10)
 
     def test_whiten_identity_and_zero(self):
         spectrum = eigendecompose(np.diag([1.0, 2.0, 3.0]))
         vo = build_variation_operator(spectrum, SpectralResponse(0.0, 1.0))
         S = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_allclose(vo.whitener @ S, S)
-        np.testing.assert_array_equal(vo.whitener @ np.zeros((3, 2)), np.zeros((3, 2)))
+        A = dense_whitener(vo.whitener)
+        np.testing.assert_allclose(A @ S, S)
+        np.testing.assert_array_equal(A @ np.zeros((3, 2)), np.zeros((3, 2)))
+
+    def test_factors_are_the_operators_own(self):
+        """Scales are ``1 / sigma`` in the operator's order; the basis is
+        ``singular_vectors`` itself, not a copy."""
+        _, vo = _sensor_operator(16, seed=9)
+        w = vo.whitener
+        np.testing.assert_array_equal(w.scales, 1.0 / vo.singular_values)
+        assert w.basis is vo.singular_vectors
+
+    @pytest.mark.parametrize(
+        "scales, basis, message",
+        [
+            ([1.0, 2.0, 3.0], np.eye(4), "shapes"),
+            ([1.0, 2.0], np.ones((2, 3)), "shapes"),
+            ([[1.0, 2.0]], np.eye(2), "shapes"),
+            ([1.0, -2.0, 3.0], np.eye(3), "scale 1 must be positive"),
+            ([1.0, 2.0, np.inf], np.eye(3), "scale 2 must be positive and finite"),
+            ([np.nan, 2.0, 3.0], np.eye(3), "scale 0 must be positive and finite"),
+        ],
+    )
+    def test_invalid_factors_rejected(self, scales, basis, message):
+        with pytest.raises(ValueError, match=message):
+            Whitener(np.asarray(scales), basis)
 
     def test_solve_gram_dimension_mismatch(self):
         _, vo = _sensor_operator(8, seed=2)
@@ -140,7 +167,7 @@ class TestSmoothnessIdentities:
         deficient = full.copy()
         deficient[:, 3] = deficient[:, 0]
         for S, expect_invertible in ((full, True), (deficient, False)):
-            sv = np.linalg.svd(vo.whitener @ S, compute_uv=False)
+            sv = np.linalg.svd(dense_whitener(vo.whitener) @ S, compute_uv=False)
             eigs = np.abs(np.linalg.eigvalsh(S.T @ gram_inv @ S))
             sv_ok = sv[-1] > 1e-10 * sv[0]
             eig_ok = eigs.min() > 1e-10 * eigs.max()
