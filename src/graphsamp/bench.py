@@ -16,11 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import DesignConfig, _integer, design_sampling_operator
+from .design import DesignConfig, design_sampling_operator
 from .fileio import _fmt
 from .graphs import eigendecompose, laplacian, random_sensor_graph
 from .reconstruct import build_pipeline, sample
-from .seeds import mix_seed
+from .seeds import _integer, _seed, mix_seed
 from .signals import SignalModelSpec, generate_signal
 from .variation import SpectralResponse, build_variation_operator
 
@@ -62,8 +62,9 @@ class ExperimentConfig:
     fixed_graph: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("n", "num_samples", "graph_k", "trials", "master_seed"):
+        for name in ("n", "num_samples", "graph_k", "trials"):
             _integer(name, getattr(self, name))
+        _seed("master_seed", self.master_seed)
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
         if not 1 <= self.num_samples < self.n:
@@ -124,15 +125,18 @@ def mse(x_hat: np.ndarray, x: np.ndarray) -> float:
     b = np.asarray(x, dtype=float).ravel()
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    if a.size == 0:
+        raise ValueError("x_hat and x are empty; mse needs at least one entry")
     diff = a - b
     return float(diff @ diff) / a.size
 
 
 def random_vertex_selection(n: int, num_samples: int, seed: int) -> np.ndarray:
     """Selection matrix of ``num_samples`` distinct uniform vertex columns."""
+    n, num_samples = _integer("n", n), _integer("num_samples", num_samples)
     if not 1 <= num_samples <= n:
         raise ValueError(f"need 1 <= K <= n, got K={num_samples}, n={n}")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_seed("seed", seed))
     chosen = rng.choice(n, size=num_samples, replace=False)
     S = np.zeros((n, num_samples))
     S[chosen, np.arange(num_samples)] = 1.0

@@ -20,24 +20,15 @@ by d, and rotates back once at the end.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .seeds import _UINT64_MASK
+from .seeds import _integer, _seed
 from .variation import Whitener
 
 # relative step size ||T_next - T||_F / ||T||_F below which the loop stops
 STOP_TOL = 1e-5
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a ValueError naming ``name`` if it is not an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -58,8 +49,7 @@ class DesignConfig:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if _integer("max_iter", self.max_iter) < 1:
             raise ValueError(f"max_iter must be positive, got {self.max_iter}")
-        if not 0 <= _integer("seed", self.seed) <= _UINT64_MASK:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        _seed("seed", self.seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,12 +120,13 @@ def design_sampling_operator(
     iterations (reported via ``converged``), and returns ``S = Q @ T``.
 
     Raises:
-        ValueError: on an out-of-range sample count, or a zero whitened
-            iterate (propagated from the subgradient).
+        ValueError: on a non-integer or out-of-range sample count, or a
+            zero whitened iterate (propagated from the subgradient).
     """
     d = whitener.scales[:, None]
     Q = whitener.basis
     n = Q.shape[0]
+    num_samples = _integer("num_samples", num_samples)
     if not 1 <= num_samples < n:
         raise ValueError(
             f"num_samples must satisfy 1 <= K < {n}, got {num_samples}"

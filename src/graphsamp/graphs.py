@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .seeds import _UINT64_MASK
+from .seeds import _UINT64_MASK, _integer, _seed
 
 MAX_PLACEMENT_ATTEMPTS = 50
 
@@ -30,19 +29,15 @@ class Graph:
     coordinates: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        n = self.num_vertices
-        if not isinstance(n, (int, np.integer)) or n < 1:
+        n = _integer("num_vertices", self.num_vertices)
+        if n < 1:
             raise ValueError(f"num_vertices must be a positive integer, got {n!r}")
-        object.__setattr__(self, "num_vertices", int(n))
+        object.__setattr__(self, "num_vertices", n)
         canonical = []
         seen = set()
         for u, v, w in self.edges:
-            try:
-                u, v = operator.index(u), operator.index(v)
-            except TypeError:
-                raise ValueError(
-                    f"edge ({u!r}, {v!r}) has a non-integer vertex index"
-                ) from None
+            name = f"edge ({u!r}, {v!r}) has a non-integer vertex index; each index"
+            u, v = _integer(name, u), _integer(name, v)
             w = float(w)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
@@ -121,15 +116,17 @@ def random_sensor_graph(n: int, k: int, seed: int) -> Graph:
     resampled with seed + attempt, up to MAX_PLACEMENT_ATTEMPTS.
 
     Raises:
+        ValueError: naming a non-integer n or k, a bad seed, or a bad range.
         RuntimeError: if no connected placement is found, which signals
             pathological (n, k).
     """
+    n, k, seed = _integer("n", n), _integer("k", k), _seed("seed", seed)
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got {n}")
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
     for attempt in range(MAX_PLACEMENT_ATTEMPTS):
-        rng = np.random.default_rng((int(seed) + attempt) & _UINT64_MASK)
+        rng = np.random.default_rng((seed + attempt) & _UINT64_MASK)
         points = rng.random((n, 2))
         delta = points[:, None, :] - points[None, :, :]
         dist = np.sqrt(np.sum(delta * delta, axis=2))

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, Spectrum
+from .seeds import _seed
 
 MODEL_KINDS = ("gmrf", "pwl")
 
@@ -39,7 +40,7 @@ def gmrf_signal(spectrum: Spectrum, eta: float, seed: int) -> np.ndarray:
     """
     if not 0 < eta < np.inf:
         raise ValueError(f"eta must be positive and finite, got {eta}")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_seed("seed", seed))
     n = spectrum.eigenvalues.shape[0]
     coeffs = rng.standard_normal(n) / np.sqrt(spectrum.eigenvalues + eta)
     return spectrum.eigenvectors @ coeffs
@@ -60,7 +61,7 @@ def pwl_signal(graph: Graph, lap: np.ndarray, density: float, seed: int) -> np.n
     L = np.asarray(lap, dtype=float)
     if L.shape != (n, n):
         raise ValueError(f"Laplacian shape {L.shape} does not match {n} vertices")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_seed("seed", seed))
     num_anchors = min(n, max(1, int(np.floor(density * n + 0.5))))
     anchors = np.sort(rng.choice(n, size=num_anchors, replace=False))
     values = rng.uniform(-1.0, 1.0, size=num_anchors)

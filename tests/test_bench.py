@@ -8,8 +8,13 @@ import pytest
 from graphsamp import (
     ExperimentConfig,
     SignalModelSpec,
+    eigendecompose,
+    gmrf_signal,
+    laplacian,
     mix_seed,
     mse,
+    pwl_signal,
+    random_sensor_graph,
     random_vertex_selection,
     run_benchmark,
     run_trial,
@@ -37,6 +42,10 @@ class TestMse:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             mse(np.zeros(3), np.zeros(4))
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="x_hat and x are empty"):
+            mse(np.array([]), np.array([]))
 
 
 class TestRandomVertexSelection:
@@ -76,6 +85,64 @@ class TestSeeds:
     def test_mix_seed_spreads(self):
         seeds = {mix_seed(7, i) for i in range(1000)}
         assert len(seeds) == 1000
+
+    def test_mix_seed_matches_splitmix64_vectors(self):
+        """From state 0, SplitMix64 emits these three outputs first."""
+        expected = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert [mix_seed(0, i) for i in range(3)] == expected
+
+    def test_mix_seed_index_may_be_negative(self):
+        assert mix_seed(0, -1) == mix_seed(0, 2**64 - 1) == 0
+
+    @pytest.mark.parametrize("seed", [0.5, -1, 2**64])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda g, spec, seed: gmrf_signal(spec, 0.1, seed),
+            lambda g, spec, seed: pwl_signal(g, laplacian(g), 0.25, seed),
+            lambda g, spec, seed: random_vertex_selection(8, 2, seed),
+            lambda g, spec, seed: mix_seed(seed, 0),
+        ],
+        ids=["gmrf_signal", "pwl_signal", "random_vertex_selection", "mix_seed"],
+    )
+    def test_bad_seed_rejected_by_name(self, entry, seed):
+        """A seed is an integer in [0, 2**64): never truncated, wrapped or left to numpy."""
+        graph = random_sensor_graph(8, 3, 0)
+        spectrum = eigendecompose(laplacian(graph))
+        with pytest.raises(ValueError, match=r"^seed must be an integer"):
+            entry(graph, spectrum, seed)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: mix_seed(0, 0.5), "index"),
+            (lambda: random_vertex_selection(8.0, 2, 0), "n"),
+            (lambda: random_vertex_selection(8, 2.5, 0), "num_samples"),
+        ],
+        ids=["mix_seed", "random_vertex_selection-n", "random_vertex_selection-num_samples"],
+    )
+    def test_non_integer_argument_rejected_by_name(self, call, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        top = np.uint64(2**64 - 1)
+        assert mix_seed(np.int64(5), np.int64(1)) == mix_seed(5, 1)
+        assert mix_seed(top, 0) == mix_seed(2**64 - 1, 0)
+        np.testing.assert_array_equal(
+            random_vertex_selection(np.int64(8), np.int64(2), np.int64(3)),
+            random_vertex_selection(8, 2, 3),
+        )
+        graph = random_sensor_graph(np.int64(8), np.int64(3), np.int64(0))
+        assert graph.edges == random_sensor_graph(8, 3, 0).edges
+        spectrum = eigendecompose(laplacian(graph))
+        np.testing.assert_array_equal(
+            gmrf_signal(spectrum, 0.1, top), gmrf_signal(spectrum, 0.1, 2**64 - 1)
+        )
+        np.testing.assert_array_equal(
+            pwl_signal(graph, laplacian(graph), 0.25, np.int64(4)),
+            pwl_signal(graph, laplacian(graph), 0.25, 4),
+        )
 
     def test_trial_seeds_independent_streams(self):
         cfg = ExperimentConfig(n=16, num_samples=4, graph_k=3, trials=2)
@@ -119,6 +186,8 @@ class TestExperimentConfig:
             {"n": 16, "num_samples": 4, "graph_k": 2.5},
             {"n": 16, "num_samples": 4, "trials": 2.5},
             {"n": 16, "num_samples": 4, "master_seed": 0.5},
+            {"n": 16, "num_samples": 4, "master_seed": -1},
+            {"n": 16, "num_samples": 4, "master_seed": 2**64},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

@@ -1,7 +1,14 @@
 """End-to-end CLI runs through main()."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import graphsamp
 
 from graphsamp import (
     DesignConfig,
@@ -100,6 +107,12 @@ class TestDesignCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: --epsilon: ")
         assert "'fast'" in err
+
+    def test_negative_graph_seed_rejected(self, tmp_path, capsys):
+        """-1 is refused, not wrapped to 2**64 - 1."""
+        rc = main(["design", "--n", "16", "--graph-seed", "-1", "--k", "4", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: seed must be an integer in [0, 2**64)")
 
     def test_missing_graph_source_fails(self, tmp_path, capsys):
         rc = main(["design", "--k", "4", "--out-dir", str(tmp_path)])
@@ -227,3 +240,20 @@ class TestRenderCommand:
         rc = main(["render", "--graph", str(gpath), "--signal", str(xpath), "--out", str(out)])
         assert rc == 0
         assert out.read_text().startswith("<?xml")
+
+
+class TestImportFootprint:
+    def test_import_does_not_load_scipy_spatial(self):
+        """Importing scipy.spatial alone adds several MB of RSS and tens of
+        milliseconds, which the benchmark's memory and setup figures count."""
+        src = str(Path(graphsamp.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, graphsamp, graphsamp.cli; print('scipy.spatial' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.strip() == "False"

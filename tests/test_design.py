@@ -293,6 +293,8 @@ class TestDesignSamplingOperator:
             design_sampling_operator(_identity(4), 4, cfg)
         with pytest.raises(ValueError, match="num_samples"):
             design_sampling_operator(_identity(4), 0, cfg)
+        with pytest.raises(ValueError, match="num_samples must be an integer"):
+            design_sampling_operator(_identity(4), 2.5, cfg)
 
     def test_zero_row_whitener_rejected(self):
         """Scale 2 is zero, so row 2 of ``diag(scales) basis.T`` is zero and

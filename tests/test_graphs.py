@@ -74,6 +74,14 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match=r"non-integer vertex index"):
             Graph(2, [edge])
 
+    @pytest.mark.parametrize("n", [2.0, "2", 0])
+    def test_bad_vertex_count_rejected(self, n):
+        with pytest.raises(ValueError, match=r"^num_vertices must be"):
+            Graph(n, [(0, 1, 1.0)])
+
+    def test_numpy_vertex_count_stored_as_int(self):
+        assert type(Graph(np.int64(2), [(0, 1, 1.0)]).num_vertices) is int
+
     def test_numpy_integer_indices_accepted(self):
         g = Graph(2, [(np.int64(1), np.int32(0), 1.0)])
         assert g.edges == [(0, 1, 1.0)]
@@ -159,6 +167,14 @@ class TestRandomSensorGraph:
             random_sensor_graph(8, 8, seed=0)
         with pytest.raises(ValueError):
             random_sensor_graph(8, 0, seed=0)
+        with pytest.raises(ValueError, match=r"^n must be an integer"):
+            random_sensor_graph(16.0, 2, seed=0)
+        with pytest.raises(ValueError, match=r"^k must be an integer"):
+            random_sensor_graph(16, 2.5, seed=0)
+        with pytest.raises(ValueError, match=r"^seed must be an integer"):
+            random_sensor_graph(16, 2, seed=0.5)
+        with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
+            random_sensor_graph(16, 2, seed=-1)
 
 
 class TestLaplacian:
