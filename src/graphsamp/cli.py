@@ -20,6 +20,7 @@ from .fileio import (
 from .graphs import eigendecompose, laplacian, random_sensor_graph
 from .reconstruct import build_pipeline, sample
 from .render import render_signal_svg
+from .seeds import _seed
 from .variation import SpectralResponse, build_variation_operator
 
 
@@ -40,24 +41,31 @@ def _add_response(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--response-offset", type=float, default=SpectralResponse.offset)
 
 
+def _flag(name: str, parse, *values):
+    """``parse(*values)``, with any ValueError it raises prefixed by the flag ``name``."""
+    try:
+        return parse(*values)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+
+
 def _obtain_graph(args):
     if args.graph is not None:
         return load_graph(args.graph), False
     if args.n is None:
         raise ValueError("pass either --graph or --n to generate a sensor graph")
-    return random_sensor_graph(args.n, args.graph_k, args.graph_seed), True
+    seed = _flag("--graph-seed", _seed, "seed", args.graph_seed)
+    return random_sensor_graph(args.n, args.graph_k, seed), True
 
 
 def _cmd_design(args) -> int:
+    seed = _flag("--seed", _seed, "seed", args.seed)
     graph, generated = _obtain_graph(args)
     spectrum = eigendecompose(laplacian(graph))
     response = SpectralResponse(args.response_slope, args.response_offset)
     vo = build_variation_operator(spectrum, response)
-    try:
-        epsilon = parse_radius(args.epsilon, graph.num_vertices, args.k)
-    except ValueError as exc:
-        raise ValueError(f"--epsilon: {exc}") from exc
-    config = DesignConfig(epsilon=epsilon, max_iter=args.max_iter, seed=args.seed)
+    epsilon = _flag("--epsilon", parse_radius, args.epsilon, graph.num_vertices, args.k)
+    config = DesignConfig(epsilon=epsilon, max_iter=args.max_iter, seed=seed)
     design = design_sampling_operator(vo.whitener, args.k, config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -16,6 +16,15 @@ factors, ``A = diag(d) Q.T`` with Q orthogonal (a ``Whitener``). Q drops
 out of the loop, because the Frobenius ball is invariant under rotation.
 So the loop iterates on ``T = Q.T @ S``, where whitening is a row scaling
 by d, and rotates back once at the end.
+
+The step length is ``gamma = STEP_SCALE * epsilon / max(d)``. The
+proximal linearized DC loop reaches a critical point for any gamma > 0
+(Souza, Oliveira & Soubeyran 2016), and this is the one rule that is
+invariant to scale: multiplying d by a and epsilon by b multiplies every
+iterate by b and leaves the iteration count unchanged. The polar factor
+comes from the K x K Gram matrix of the whitened iterate, not from its
+n x K SVD; the SVD is kept for iterates too ill-conditioned for the Gram
+matrix to resolve.
 """
 
 from __future__ import annotations
@@ -29,6 +38,11 @@ from .variation import Whitener
 
 # relative step size ||T_next - T||_F / ||T||_F below which the loop stops
 STOP_TOL = 1e-5
+# step length gamma = STEP_SCALE * epsilon / max(d)
+STEP_SCALE = 10.0
+# the polar factor takes the SVD when the Gram matrix's eigenvalues span
+# more than this ratio, i.e. when cond(M) >= 1e4
+GRAM_COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -85,7 +99,15 @@ def project_frobenius_ball(X: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _polar_factor(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``U @ V.T`` of the thin SVD of M, and M's singular values.
+    """The polar factor ``U @ V.T`` of M's thin SVD, and M's singular values.
+
+    With ``(w, V) = eigh(M.T @ M)`` the polar factor is
+    ``M @ V diag(w^-1/2) V.T`` and the singular values are ``sqrt(w)``
+    in reverse, so an n x K input costs two n x K x K products, a K x K
+    eigenproblem and a K x K x K product. When ``w_min <= w_max / GRAM_COND_LIMIT`` the
+    Gram matrix has lost the small singular values to rounding, and the
+    thin SVD of M is taken instead; that branch also covers the zero,
+    the empty and the rank-deficient matrix.
 
     The polar factor is an element of the nuclear-norm subdifferential
     at M, the only one when M has full rank; the proximal linearized DC
@@ -93,6 +115,9 @@ def _polar_factor(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     whose subdifferential is the whole unit spectral-norm ball, raises a
     ValueError.
     """
+    w, V = np.linalg.eigh(M.T @ M)
+    if w.size and w[0] > w[-1] / GRAM_COND_LIMIT:
+        return M @ ((V / np.sqrt(w)) @ V.T), np.sqrt(w[::-1])
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         raise ValueError(
@@ -112,10 +137,11 @@ def design_sampling_operator(
     With the whitener ``A = diag(d) Q.T`` (``whitener.scales`` and
     ``whitener.basis``), the loop iterates on ``T = Q.T @ S`` and
     repeats: take the polar factor G of ``d * T``, which is the
-    nuclear-norm subgradient at ``A @ S``, move along ``d * G``, and
-    project back onto the ball. This is the step ``S + A.T @ G`` written
-    in the rotated coordinates, and the trace's norms are the same in
-    either. Stops when
+    nuclear-norm subgradient at ``A @ S``, move along ``gamma * d * G``
+    with ``gamma = STEP_SCALE * epsilon / max(d)``, and project back onto
+    the ball. This is the step ``S + gamma * A.T @ G`` written in the
+    rotated coordinates, and the trace's norms are the same in either.
+    Stops when
     ``||T_next - T||_F <= STOP_TOL * ||T||_F`` or after ``max_iter``
     iterations (reported via ``converged``), and returns ``S = Q @ T``.
 
@@ -131,6 +157,7 @@ def design_sampling_operator(
         raise ValueError(
             f"num_samples must satisfy 1 <= K < {n}, got {num_samples}"
         )
+    step_scales = (STEP_SCALE * config.epsilon / float(np.max(d))) * d
     rng = np.random.default_rng(config.seed)
     T = Q.T @ project_frobenius_ball(
         rng.standard_normal((n, num_samples)), config.epsilon
@@ -140,7 +167,7 @@ def design_sampling_operator(
     iterations = 0
     for _ in range(config.max_iter):
         G, s = _polar_factor(d * T)
-        T_next = project_frobenius_ball(T + d * G, config.epsilon)
+        T_next = project_frobenius_ball(T + step_scales * G, config.epsilon)
         step = float(np.linalg.norm(T_next - T))
         current = float(np.linalg.norm(T))
         nuc.append(float(np.sum(s)))

@@ -109,10 +109,19 @@ class TestDesignCommand:
         assert "'fast'" in err
 
     def test_negative_graph_seed_rejected(self, tmp_path, capsys):
-        """-1 is refused, not wrapped to 2**64 - 1."""
+        """-1 is refused, not wrapped to 2**64 - 1, and the flag is named."""
         rc = main(["design", "--n", "16", "--graph-seed", "-1", "--k", "4", "--out-dir", str(tmp_path)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: seed must be an integer in [0, 2**64)")
+        assert capsys.readouterr().err.startswith(
+            "error: --graph-seed: seed must be an integer in [0, 2**64)"
+        )
+
+    def test_negative_design_seed_rejected(self, tmp_path, capsys):
+        rc = main(["design", "--n", "16", "--seed", "-1", "--k", "4", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: --seed: seed must be an integer in [0, 2**64)"
+        )
 
     def test_missing_graph_source_fails(self, tmp_path, capsys):
         rc = main(["design", "--k", "4", "--out-dir", str(tmp_path)])

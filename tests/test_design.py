@@ -2,7 +2,11 @@
 
 Oracles:
 - the design loop: the dense loop on ``A @ S``, A the whitener's dense
-  matrix, kept here as the reference for the spectral-coordinate loop;
+  matrix, with the polar factor from ``np.linalg.svd`` and the step length
+  from A's singular values, kept here as the reference for the
+  spectral-coordinate loop;
+- the polar factor: ``U @ Vt`` of ``np.linalg.svd``, the form the Gram
+  matrix route replaces;
 - the design optimum: ``max ||A S||_* over ||S||_F <= eps`` equals
   ``eps * ||d_(1..K)||_2`` (von Neumann, then Cauchy-Schwarz), with d the
   singular values of A.
@@ -26,7 +30,7 @@ from graphsamp import (
     project_frobenius_ball,
     random_sensor_graph,
 )
-from graphsamp.design import STOP_TOL, SamplingDesign, _polar_factor
+from graphsamp.design import STEP_SCALE, STOP_TOL, SamplingDesign, _polar_factor
 from graphsamp.variation import Whitener
 
 
@@ -44,10 +48,18 @@ def _identity(n):
     return Whitener(np.ones(n), np.eye(n))
 
 
+def _svd_polar_factor(M):
+    """``U @ Vt`` of the thin SVD of M, and M's singular values."""
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    return U @ Vt, s
+
+
 def _reference_design(whitener, num_samples, config):
-    """The dense loop: two n x n products per iteration, on S itself."""
+    """The dense loop: two n x n products and a thin SVD per iteration, on S
+    itself, with the step length taken from A's largest singular value."""
     A = dense_whitener(whitener)
     n = A.shape[0]
+    gamma = STEP_SCALE * config.epsilon / np.linalg.svd(A, compute_uv=False)[0]
     rng = np.random.default_rng(config.seed)
     S = project_frobenius_ball(
         rng.standard_normal((n, num_samples)), config.epsilon
@@ -56,8 +68,8 @@ def _reference_design(whitener, num_samples, config):
     converged = False
     iterations = 0
     for _ in range(config.max_iter):
-        G, s = _polar_factor(A @ S)
-        S_next = project_frobenius_ball(S + A.T @ G, config.epsilon)
+        G, s = _svd_polar_factor(A @ S)
+        S_next = project_frobenius_ball(S + gamma * (A.T @ G), config.epsilon)
         step = float(np.linalg.norm(S_next - S))
         current = float(np.linalg.norm(S))
         nuc.append(float(np.sum(s)))
@@ -183,6 +195,7 @@ class TestDesignConfig:
     def test_default_settings(self):
         cfg = DesignConfig(epsilon=default_radius(256, 32))
         assert STOP_TOL == 1e-5
+        assert STEP_SCALE == 10.0
         assert cfg.max_iter == 10000
 
     @pytest.mark.parametrize(
@@ -210,7 +223,8 @@ class TestDesignConfig:
 
     @pytest.mark.parametrize("field", ["gamma", "stop_tol"])
     def test_removed_field_rejected(self, field):
-        """The step is always ``d * G`` and the stop tolerance is ``STOP_TOL``."""
+        """The step length is always ``STEP_SCALE * epsilon / max(d)`` and the
+        stop tolerance is ``STOP_TOL``."""
         with pytest.raises(TypeError, match=field):
             DesignConfig(epsilon=1.0, **{field: 1e-3})
 
@@ -317,16 +331,104 @@ class TestDesignSamplingOperator:
         assert peak < 8 * n * n
 
 
+def _offset_whitener(n, seed):
+    """The whitener of ``--response-offset 1e-6``: the constant mode's scale is
+    1e6 and the others are O(1), so the scales span more than 1e6."""
+    g = random_sensor_graph(n, 6, seed)
+    spectrum = eigendecompose(laplacian(g))
+    return build_variation_operator(spectrum, SpectralResponse(1.0, 1e-6)).whitener
+
+
+def _whitened_iterate(whitener, design):
+    """``d * (Q.T @ S)``, the whitened iterate the loop hands the polar factor."""
+    return whitener.scales[:, None] * (whitener.basis.T @ design.matrix)
+
+
+class TestGramPolarFactor:
+    def _assert_matches_svd(self, M):
+        G, s = _polar_factor(M)
+        G_ref, s_ref = _svd_polar_factor(M)
+        assert np.max(np.abs(G - G_ref)) <= 1e-12
+        np.testing.assert_allclose(s, s_ref, rtol=0, atol=1e-12 * s_ref[0])
+
+    @pytest.mark.parametrize("shape", [(256, 32), (1024, 128), (40, 5), (6, 6)])
+    def test_random_matrix_matches_svd(self, shape):
+        rng = np.random.default_rng(shape[0])
+        self._assert_matches_svd(rng.standard_normal(shape) * 3.0)
+
+    @pytest.mark.parametrize("n, K", [(256, 32), (1024, 128)])
+    def test_converged_iterate_matches_svd(self, n, K):
+        """A converged whitened iterate tends to cond ``(d_1/d_K)^2``, about
+        160 here: the limit the loop's iterates approach on a sensor graph
+        with the default response."""
+        W = _whitener(n, seed=1001)
+        design = design_sampling_operator(W, K, DesignConfig(epsilon=default_radius(n, K), seed=1))
+        assert design.converged
+        M = _whitened_iterate(W, design)
+        s = np.linalg.svd(M, compute_uv=False)
+        assert s[0] / s[-1] > 20.0
+        self._assert_matches_svd(M)
+
+    def test_empty_matrix_rejected(self):
+        """No columns means no Gram eigenvalues; the SVD branch refuses it."""
+        with pytest.raises(ValueError, match="zero matrix"):
+            _polar_factor(np.zeros((3, 0)))
+
+    def test_ill_conditioned_iterate_takes_the_svd(self):
+        """Past cond 1e4 the Gram matrix cannot resolve the small singular
+        values, so the guard hands the iterate to the thin SVD: G and the
+        singular values are bit for bit those of ``np.linalg.svd``."""
+        W = _offset_whitener(64, seed=5)
+        assert W.scales.max() / W.scales.min() >= 1e6
+        design = design_sampling_operator(W, 8, DesignConfig(epsilon=default_radius(64, 8), seed=6))
+        M = _whitened_iterate(W, design)
+        s = np.linalg.svd(M, compute_uv=False)
+        assert s[0] / s[-1] >= 1e4
+        G, s_got = _polar_factor(M)
+        G_ref, s_ref = _svd_polar_factor(M)
+        np.testing.assert_array_equal(G, G_ref)
+        np.testing.assert_array_equal(s_got, s_ref)
+
+
+class TestStepRule:
+    def test_scale_invariance(self):
+        """Scales times 2**3 and epsilon times 2**-2 give the same iteration
+        count and every iterate times 2**-2. Powers of two scale without
+        rounding, so the equality is exact."""
+        W = _whitener(64, seed=12)
+        K = 8
+        eps = default_radius(64, K) / 2  # the Gaussian start is projected in both runs
+        base = design_sampling_operator(W, K, DesignConfig(epsilon=eps, seed=13))
+        scaled = design_sampling_operator(
+            Whitener(W.scales * 2.0**3, W.basis), K, DesignConfig(epsilon=eps * 2.0**-2, seed=13)
+        )
+        assert base.converged and scaled.converged
+        assert scaled.iterations == base.iterations
+        np.testing.assert_array_equal(scaled.matrix, base.matrix * 2.0**-2)
+        np.testing.assert_array_equal(scaled.frobenius_norms, base.frobenius_norms * 2.0**-2)
+        np.testing.assert_array_equal(scaled.step_norms, base.step_norms * 2.0**-2)
+        np.testing.assert_array_equal(scaled.nuclear_norms, base.nuclear_norms * 2.0)
+
+
 class TestSpectralLoopAgainstDenseLoop:
     @pytest.mark.parametrize(
         "case",
-        ["variation-24", "variation-64", "variation-256", "identity-16", "random-40"],
+        [
+            "variation-24",
+            "variation-64",
+            "variation-256",
+            "identity-16",
+            "random-40",
+            "offset-64",
+        ],
     )
     def test_matches_dense_reference(self, case):
         """Same iterations and stopping; S to 1e-10 and the trace to 1e-12 relative.
 
         Step norms are differences of nearly equal iterates, so their
-        rounding is relative to the iterate's norm, at most epsilon.
+        rounding is relative to the iterate's norm, at most epsilon. The
+        offset whitener's iterates are too ill-conditioned for the Gram
+        route, so that case runs the polar factor's SVD branch.
         """
         kind, n = case.rsplit("-", 1)
         n = int(n)
@@ -334,6 +436,8 @@ class TestSpectralLoopAgainstDenseLoop:
             A = _whitener(n, seed=n)
         elif kind == "identity":
             A = _identity(n)
+        elif kind == "offset":
+            A = _offset_whitener(n, seed=n)
         else:
             A = _random_whitener(n, seed=n)
         K = max(n // 8, 4)
