@@ -30,10 +30,11 @@ def _fmt(value: float) -> str:
 
 @contextmanager
 def _naming(path):
-    """Prefix the message of any ValueError raised inside with ``path``."""
+    """Re-raise any ValueError or OverflowError raised inside as a ValueError
+    whose message starts with ``path``."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -49,42 +50,45 @@ def save_graph(graph: Graph, path) -> None:
         lines.append("coords")
         for x, y in graph.coordinates:
             lines.append(f"{_fmt(x)} {_fmt(y)}")
-    for u, v, w in graph.edges:
+    for (u, v), w in zip(graph.edges.tolist(), graph.weights.tolist()):
         lines.append(f"{u} {v} {_fmt(w)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _headed_lines(path, kind: str, count: str) -> tuple[int, list[str]]:
+    """The count in the ``n <count>`` header of a graph or signal file, and its other lines."""
+    lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError(f"empty {kind} file")
+    header = lines[0].split()
+    if len(header) != 2 or header[0] != "n":
+        raise ValueError(f"expected header 'n <{count}>', got {lines[0]!r}")
+    return int(header[1]), lines[1:]
+
+
+def _fields(lines: list[str], width: int, kind: str) -> list[list[str]]:
+    """Each line split into fields; a ValueError names the first without ``width`` of them."""
+    rows = [ln.split() for ln in lines]
+    for ln, fields in zip(lines, rows):
+        if len(fields) != width:
+            raise ValueError(f"bad {kind} line {ln!r}")
+    return rows
+
+
 def load_graph(path) -> Graph:
     with _naming(path):
-        lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
-        lines = [ln for ln in lines if ln]
-        if not lines:
-            raise ValueError("empty graph file")
-        header = lines[0].split()
-        if len(header) != 2 or header[0] != "n":
-            raise ValueError(f"expected header 'n <num_vertices>', got {lines[0]!r}")
-        n = int(header[1])
-        pos = 1
+        n, lines = _headed_lines(path, "graph", "num_vertices")
+        pos = 0
         coords = None
-        if pos < len(lines) and lines[pos] == "coords":
-            pos += 1
-            if len(lines) < pos + n:
+        if lines[:1] == ["coords"]:
+            pos = 1 + n
+            if len(lines) < pos:
                 raise ValueError(f"coords block needs {n} lines")
-            coords = []
-            for ln in lines[pos : pos + n]:
-                parts = ln.split()
-                if len(parts) != 2:
-                    raise ValueError(f"bad coords line {ln!r}")
-                coords.append((float(parts[0]), float(parts[1])))
-            coords = np.array(coords)
-            pos += n
-        edges = []
-        for ln in lines[pos:]:
-            parts = ln.split()
-            if len(parts) != 3:
-                raise ValueError(f"bad edge line {ln!r}")
-            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
-        return Graph(num_vertices=n, edges=edges, coordinates=coords)
+            block = _fields(lines[1:pos], 2, "coords")
+            coords = np.array([(float(x), float(y)) for x, y in block])
+        rows = _fields(lines[pos:], 3, "edge")
+        edges = np.array([(int(u), int(v)) for u, v, _ in rows], dtype=np.intp)
+        return Graph(n, edges, [float(w) for *_, w in rows], coords)
 
 
 def save_matrix(matrix: np.ndarray, path) -> None:
@@ -102,6 +106,8 @@ def load_matrix(path) -> np.ndarray:
         if len(text) < 2:
             raise ValueError("expected '<rows> <cols>' header")
         rows, cols = int(text[0]), int(text[1])
+        if rows < 0 or cols < 0:
+            raise ValueError(f"header '{text[0]} {text[1]}' has a negative dimension")
         body = text[2:]
         if len(body) != rows * cols:
             raise ValueError(
@@ -119,17 +125,10 @@ def save_signal(x: np.ndarray, path) -> None:
 
 def load_signal(path) -> np.ndarray:
     with _naming(path):
-        lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
-        lines = [ln for ln in lines if ln]
-        if not lines:
-            raise ValueError("empty signal file")
-        header = lines[0].split()
-        if len(header) != 2 or header[0] != "n":
-            raise ValueError(f"expected header 'n <len>', got {lines[0]!r}")
-        length = int(header[1])
-        if len(lines) - 1 != length:
-            raise ValueError(f"expected {length} values, found {len(lines) - 1}")
-        return _finite(np.array([float(ln) for ln in lines[1:]]))
+        length, lines = _headed_lines(path, "signal", "len")
+        if len(lines) != length:
+            raise ValueError(f"expected {length} values, found {len(lines)}")
+        return _finite(np.array([float(ln) for ln in lines]))
 
 
 def save_trace_csv(design: SamplingDesign, path) -> None:

@@ -17,15 +17,16 @@ MAX_PLACEMENT_ATTEMPTS = 50
 class Graph:
     """Connected weighted undirected graph.
 
-    Edges are canonicalized to (u, v, w) with u < v and sorted by vertex
-    pair. Construction validates integer indices, index bounds, absence
-    of self loops and duplicate pairs, strictly positive finite weights,
-    and connectivity, so every instance is safe to feed to the spectral
-    pipeline.
+    ``edges`` is an m×2 ``intp`` array of vertex pairs with u < v, rows
+    sorted by pair, and ``weights`` the m edge weights in that order.
+    Construction checks integer indices, bounds, self loops, duplicates,
+    positive finite weights, one weight per edge and connectivity, naming
+    the first offending edge in input order.
     """
 
     num_vertices: int
-    edges: list[tuple[int, int, float]]
+    edges: np.ndarray
+    weights: np.ndarray
     coordinates: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -33,25 +34,37 @@ class Graph:
         if n < 1:
             raise ValueError(f"num_vertices must be a positive integer, got {n!r}")
         object.__setattr__(self, "num_vertices", n)
-        canonical = []
-        seen = set()
-        for u, v, w in self.edges:
-            name = f"edge ({u!r}, {v!r}) has a non-integer vertex index; each index"
-            u, v = _integer(name, u), _integer(name, v)
-            w = float(w)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
-            if u == v:
-                raise ValueError(f"self loop at vertex {u}")
-            if not np.isfinite(w) or w <= 0.0:
-                raise ValueError(f"edge ({u}, {v}) has non-positive weight {w}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            canonical.append((key[0], key[1], w))
-        canonical.sort()
-        object.__setattr__(self, "edges", canonical)
+        pairs = np.asarray(self.edges) if len(self.edges) else np.empty((0, 2), np.intp)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"edges must be an m×2 array of pairs, got shape {pairs.shape}")
+        if pairs.dtype.kind not in "iu":
+            raise ValueError(
+                f"edge {tuple(pairs[0].tolist())} has a non-integer vertex index ({pairs.dtype})"
+            )
+        weights = np.asarray(self.weights, dtype=float)
+        if weights.shape != (len(pairs),):
+            raise ValueError(f"got {len(pairs)} edges but weights of shape {weights.shape}")
+        u, v = pairs[:, 0], pairs[:, 1]
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        out_of_range = (lo < 0) | (hi >= n)
+        bad_weight = ~(np.isfinite(weights) & (weights > 0.0))
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        repeat = np.zeros(len(pairs), dtype=bool)
+        repeat[order[1:]] = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+        bad = out_of_range | (u == v) | bad_weight | repeat
+        if bad.any():
+            i = int(np.argmax(bad))
+            a, b, w = int(u[i]), int(v[i]), float(weights[i])
+            if out_of_range[i]:
+                raise ValueError(f"edge ({a}, {b}) out of range for {n} vertices")
+            if a == b:
+                raise ValueError(f"self loop at vertex {a}")
+            if bad_weight[i]:
+                raise ValueError(f"edge ({a}, {b}) weight must be positive and finite, got {w}")
+            raise ValueError(f"duplicate edge ({min(a, b)}, {max(a, b)})")
+        object.__setattr__(self, "edges", np.column_stack((lo, hi)).astype(np.intp))
+        object.__setattr__(self, "weights", weights[order])
         if self.coordinates is not None:
             coords = np.asarray(self.coordinates, dtype=float)
             if coords.shape != (n, 2):
@@ -61,16 +74,8 @@ class Graph:
             if not np.all(np.isfinite(coords)):
                 raise ValueError("coordinates must be finite")
             object.__setattr__(self, "coordinates", coords)
-        if _component_count(n, [(u, v) for u, v, _ in canonical]) != 1:
+        if _component_count(n, self.edges) != 1:
             raise ValueError("graph is not connected")
-
-    def weight_matrix(self) -> np.ndarray:
-        """Dense symmetric matrix of edge weights."""
-        W = np.zeros((self.num_vertices, self.num_vertices))
-        for u, v, w in self.edges:
-            W[u, v] = w
-            W[v, u] = w
-        return W
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,13 +91,9 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def _component_count(n: int, pairs) -> int:
-    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    adjacency = coo_matrix(
-        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
-    )
-    count, _ = connected_components(adjacency, directed=False)
-    return int(count)
+def _component_count(n: int, pairs: np.ndarray) -> int:
+    adjacency = coo_matrix((np.ones(len(pairs)), tuple(pairs.T)), shape=(n, n))
+    return int(connected_components(adjacency, directed=False)[0])
 
 
 def _nearest_neighbours(dist: np.ndarray, k: int) -> np.ndarray:
@@ -137,12 +138,11 @@ def random_sensor_graph(n: int, k: int, seed: int) -> Graph:
         if sigma <= 0.0:
             continue  # coincident placement; resample
         keys = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
-        lo, hi = np.divmod(keys, n)
-        if _component_count(n, np.column_stack((lo, hi))) != 1:
+        pairs = np.column_stack(np.divmod(keys, n))
+        if _component_count(n, pairs) != 1:
             continue
-        weights = np.exp(-dist[lo, hi] ** 2 / (2.0 * sigma**2))
-        edges = list(zip(lo.tolist(), hi.tolist(), weights.tolist()))
-        return Graph(num_vertices=n, edges=edges, coordinates=points)
+        weights = np.exp(-dist[pairs[:, 0], pairs[:, 1]] ** 2 / (2.0 * sigma**2))
+        return Graph(n, pairs, weights, points)
     raise RuntimeError(
         f"failed to draw a connected sensor graph in {MAX_PLACEMENT_ATTEMPTS} "
         f"attempts (n={n}, k={k}); parameters look pathological"
@@ -151,7 +151,9 @@ def random_sensor_graph(n: int, k: int, seed: int) -> Graph:
 
 def laplacian(graph: Graph) -> np.ndarray:
     """Combinatorial Laplacian: degree matrix minus weight matrix."""
-    W = graph.weight_matrix()
+    u, v = graph.edges.T
+    W = np.zeros((graph.num_vertices, graph.num_vertices))
+    W[u, v] = W[v, u] = graph.weights
     return np.diag(W.sum(axis=1)) - W
 
 

@@ -69,7 +69,7 @@ def render_signal_svg(graph: Graph, values: np.ndarray, path) -> None:
         },
     )
     edge_group = ET.SubElement(svg, "g", {"stroke": "#999999", "stroke-width": "1"})
-    for u, v, _ in graph.edges:
+    for u, v in graph.edges.tolist():
         ET.SubElement(
             edge_group,
             "line",

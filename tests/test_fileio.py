@@ -31,19 +31,33 @@ class TestGraphFormat:
         save_graph(g, path)
         loaded = load_graph(path)
         assert loaded.num_vertices == g.num_vertices
-        assert loaded.edges == g.edges
+        np.testing.assert_array_equal(loaded.edges, g.edges)
+        np.testing.assert_array_equal(loaded.weights, g.weights)
         np.testing.assert_array_equal(loaded.coordinates, g.coordinates)
 
     def test_round_trip_without_coordinates(self, tmp_path):
-        g = Graph(3, [(0, 1, 0.25), (1, 2, 1.5)])
+        g = Graph(3, [(0, 1), (1, 2)], [0.25, 1.5])
         path = tmp_path / "g.txt"
         save_graph(g, path)
         loaded = load_graph(path)
         assert loaded.coordinates is None
-        assert loaded.edges == g.edges
+        np.testing.assert_array_equal(loaded.edges, g.edges)
+        np.testing.assert_array_equal(loaded.weights, g.weights)
+
+    def test_round_trip_single_vertex(self, tmp_path):
+        """A 1-vertex graph has no edge lines; loading still gives index arrays."""
+        g = Graph(1, [], [], coordinates=np.array([[0.5, 0.5]]))
+        path = tmp_path / "g.txt"
+        save_graph(g, path)
+        assert path.read_text() == "n 1\ncoords\n0.5 0.5\n"
+        loaded = load_graph(path)
+        assert loaded.num_vertices == 1
+        assert loaded.edges.shape == (0, 2) and loaded.edges.dtype == np.intp
+        assert loaded.weights.shape == (0,)
+        np.testing.assert_array_equal(loaded.coordinates, g.coordinates)
 
     def test_header_layout(self, tmp_path):
-        g = Graph(2, [(0, 1, 1.0)], coordinates=np.array([[0.0, 0.0], [1.0, 1.0]]))
+        g = Graph(2, [(0, 1)], [1.0], coordinates=np.array([[0.0, 0.0], [1.0, 1.0]]))
         path = tmp_path / "g.txt"
         save_graph(g, path)
         lines = path.read_text().splitlines()
@@ -77,8 +91,9 @@ class TestGraphFormat:
             "n 2\ncoords\n0.0 0.0\n0.5 1.0 2.0\n0 1 1.0\n",
             "n 2\n0 1.5 1.0\n",
             "n 2\n0 1 heavy\n",
+            "n 2\n0 99999999999999999999 1.0\n",
         ],
-        ids=["header", "coord", "coords-line", "index", "weight"],
+        ids=["header", "coord", "coords-line", "index", "weight", "huge-index"],
     )
     def test_malformed_number_names_file(self, tmp_path, text):
         path = tmp_path / "g.txt"
@@ -104,6 +119,19 @@ class TestMatrixFormat:
         path = tmp_path / "m.txt"
         path.write_text("2 2\n1.0 2.0 3.0\n")
         with pytest.raises(ValueError, match="entries"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize(
+        "header,body",
+        [("-1 -2", "1.0 2.0"), ("-2 -1", "1.0\n2.0"), ("0 -1", "")],
+        ids=["both", "rows", "cols"],
+    )
+    def test_negative_dimension_rejected(self, tmp_path, header, body):
+        """-1 * -2 entries pass the count check, so the header is checked first."""
+        path = tmp_path / "m.txt"
+        path.write_text(f"{header}\n{body}\n")
+        message = f"^{re.escape(str(path))}: header '{header}' has a negative dimension$"
+        with pytest.raises(ValueError, match=message):
             load_matrix(path)
 
     @pytest.mark.parametrize("text", ["2 x\n1.0 2.0\n", "1 2\n1.0 abc\n"], ids=["header", "entry"])
@@ -176,7 +204,7 @@ def _graphs(draw):
         for pair in draw(st.lists(st.sampled_from(pairs), max_size=6)):
             edges[pair] = draw(weights)
     coords = draw(st.none() | arrays(np.float64, (n, 2), elements=_FINITE))
-    return Graph(n, [(u, v, w) for (u, v), w in edges.items()], coordinates=coords)
+    return Graph(n, list(edges), list(edges.values()), coordinates=coords)
 
 
 class TestRoundTripProperties:
@@ -203,8 +231,8 @@ class TestRoundTripProperties:
         save_graph(g, path)
         loaded = load_graph(path)
         assert loaded.num_vertices == g.num_vertices
-        assert [(u, v) for u, v, _ in loaded.edges] == [(u, v) for u, v, _ in g.edges]
-        assert _same_bits([w for *_, w in loaded.edges], [w for *_, w in g.edges])
+        np.testing.assert_array_equal(loaded.edges, g.edges)
+        assert _same_bits(loaded.weights, g.weights)
         if g.coordinates is None:
             assert loaded.coordinates is None
         else:

@@ -5,13 +5,85 @@ Ground truth:
 - Diagonal matrices: spectrum read off the diagonal.
 - Any Laplacian: zero row sums, PSD, constant null vector.
 - k-NN selection: a per-vertex ``lexsort`` loop, kept here as the reference.
+- Edge validation: the per-edge loop ``Graph`` used before its edges were
+  arrays, kept here as the reference.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsamp import Graph, eigendecompose, laplacian, random_sensor_graph
 from graphsamp.graphs import _nearest_neighbours
+
+
+def _reference_graph(n, edges):
+    """Canonical ``(u, v, w)`` list of an edge list, validated one edge at a time.
+
+    Raises the ValueError ``Graph`` raises, for the first offending edge in
+    input order; connectivity is checked by an independent union-find.
+    """
+    canonical = []
+    seen = set()
+    for u, v, w in edges:
+        w = float(w)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
+        if u == v:
+            raise ValueError(f"self loop at vertex {u}")
+        if not np.isfinite(w) or w <= 0.0:
+            raise ValueError(f"edge ({u}, {v}) weight must be positive and finite, got {w}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise ValueError(f"duplicate edge {key}")
+        seen.add(key)
+        canonical.append((key[0], key[1], w))
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for u, v, _ in canonical:
+        root[find(u)] = find(v)
+    if len({find(x) for x in range(n)}) != 1:
+        raise ValueError("graph is not connected")
+    return sorted(canonical)
+
+
+@st.composite
+def _edge_lists(draw):
+    """n <= 12 and edge lists mixing valid edges with every fault.
+
+    An optional spanning path, its pairs reversed at random, makes many
+    lists connected; random extra edges bring self loops and duplicates;
+    injected faults add out-of-range indices, weights of 0, -1, inf or
+    nan, self loops and reversed duplicates at random positions.
+    """
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    weight = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    edges = []
+    if draw(st.booleans()):
+        for v in range(n - 1):
+            pair = (v + 1, v) if draw(st.booleans()) else (v, v + 1)
+            edges.append((*pair, draw(weight)))
+    edges += draw(st.lists(st.tuples(vertex, vertex, weight), max_size=4))
+    faults = st.sampled_from(["range", "weight", "loop", "repeat"])
+    for fault in draw(st.lists(faults, max_size=2)):
+        u, v, w = draw(vertex), draw(vertex), draw(weight)
+        if fault == "range":
+            v = draw(st.sampled_from([-1, n]))
+        elif fault == "weight":
+            w = draw(st.sampled_from([0.0, -1.0, np.inf, np.nan]))
+        elif fault == "loop":
+            v = u
+        elif edges:
+            v, u, _ = draw(st.sampled_from(edges))
+        edges.insert(draw(st.integers(0, len(edges))), (u, v, w))
+    return n, edges
 
 
 def _distances(points):
@@ -41,70 +113,103 @@ def _reference_edges(points, k):
 
 class TestGraphValidation:
     def test_valid_two_vertex_graph(self):
-        g = Graph(2, [(0, 1, 1.0)])
+        g = Graph(2, [(0, 1)], [1.0])
         assert g.num_vertices == 2
-        assert g.edges == [(0, 1, 1.0)]
+        assert g.edges.tolist() == [[0, 1]] and g.weights.tolist() == [1.0]
 
     def test_edges_canonicalized(self):
-        """Edges are stored as (min, max, w) sorted by vertex pair."""
-        g = Graph(3, [(2, 1, 0.5), (1, 0, 2.0)])
-        assert g.edges == [(0, 1, 2.0), (1, 2, 0.5)]
+        """Edges are stored as (min, max) pairs sorted by vertex pair."""
+        g = Graph(3, [(2, 1), (1, 0)], [0.5, 2.0])
+        assert g.edges.tolist() == [[0, 1], [1, 2]] and g.weights.tolist() == [2.0, 0.5]
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self loop"):
-            Graph(2, [(0, 0, 1.0), (0, 1, 1.0)])
+            Graph(2, [(0, 0), (0, 1)], [1.0, 1.0])
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            Graph(2, [(0, 1, 1.0), (1, 0, 2.0)])
+            Graph(2, [(0, 1), (1, 0)], [1.0, 2.0])
 
     def test_nonpositive_weight_rejected(self):
-        with pytest.raises(ValueError, match="weight"):
-            Graph(2, [(0, 1, 0.0)])
-        with pytest.raises(ValueError, match="weight"):
-            Graph(2, [(0, 1, -1.0)])
+        for w in [0.0, -1.0, np.inf, np.nan]:
+            with pytest.raises(ValueError, match="weight"):
+                Graph(2, [(0, 1)], [w])
+        message = r"^edge \(0, 1\) weight must be positive and finite, got inf$"
+        with pytest.raises(ValueError, match=message):
+            Graph(2, [(0, 1)], [np.inf])
 
     def test_out_of_range_vertex_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            Graph(2, [(0, 2, 1.0)])
+            Graph(2, [(0, 2)], [1.0])
 
-    @pytest.mark.parametrize("edge", [(0.7, 1, 1.0), (0, 1.0, 1.0), ("0", 1, 1.0)])
+    @pytest.mark.parametrize("edge", [(0.7, 1), (0, 1.0), ("0", 1), (False, True)])
     def test_non_integer_vertex_index_rejected(self, edge):
-        """An index is never truncated or parsed: (0.7, 1) is not edge (0, 1)."""
+        """An index is never truncated or parsed: (0.7, 1) is not edge (0, 1).
+        Nor is a bool an index."""
         with pytest.raises(ValueError, match=r"non-integer vertex index"):
-            Graph(2, [edge])
+            Graph(2, [edge], [1.0])
 
     @pytest.mark.parametrize("n", [2.0, "2", 0])
     def test_bad_vertex_count_rejected(self, n):
         with pytest.raises(ValueError, match=r"^num_vertices must be"):
-            Graph(n, [(0, 1, 1.0)])
+            Graph(n, [(0, 1)], [1.0])
 
     def test_numpy_vertex_count_stored_as_int(self):
-        assert type(Graph(np.int64(2), [(0, 1, 1.0)]).num_vertices) is int
+        assert type(Graph(np.int64(2), [(0, 1)], [1.0]).num_vertices) is int
 
     def test_numpy_integer_indices_accepted(self):
-        g = Graph(2, [(np.int64(1), np.int32(0), 1.0)])
-        assert g.edges == [(0, 1, 1.0)]
-        assert type(g.edges[0][0]) is int
+        g = Graph(2, np.array([[1, 0]], dtype=np.uint32), [1.0])
+        assert g.edges.tolist() == [[0, 1]]
+        assert g.edges.dtype == np.intp
+
+    def test_edge_and_weight_counts_must_match(self):
+        with pytest.raises(ValueError, match=r"^got 2 edges but weights of shape \(1,\)$"):
+            Graph(3, [(0, 1), (1, 2)], [1.0])
+
+    def test_single_vertex_without_edges(self):
+        """``[]`` is float64 under ``np.asarray``; an empty edge list still passes."""
+        g = Graph(1, [], [])
+        assert g.edges.shape == (0, 2) and g.edges.dtype == np.intp
+        assert g.weights.shape == (0,)
+        np.testing.assert_array_equal(laplacian(g), [[0.0]])
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="not connected"):
-            Graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+            Graph(4, [(0, 1), (2, 3)], [1.0, 1.0])
 
     def test_bad_coordinate_shape_rejected(self):
         with pytest.raises(ValueError, match="coordinates"):
-            Graph(2, [(0, 1, 1.0)], coordinates=np.zeros((3, 2)))
+            Graph(2, [(0, 1)], [1.0], coordinates=np.zeros((3, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_coordinates_rejected(self, bad):
         with pytest.raises(ValueError, match="coordinates must be finite"):
-            Graph(2, [(0, 1, 1.0)], coordinates=np.array([[0.0, 0.0], [bad, 1.0]]))
+            Graph(2, [(0, 1)], [1.0], coordinates=np.array([[0.0, 0.0], [bad, 1.0]]))
 
     def test_weight_matrix_symmetric(self):
-        g = Graph(3, [(0, 1, 2.0), (1, 2, 0.5)])
-        W = g.weight_matrix()
+        """The off-diagonal of the Laplacian is minus the symmetric weight matrix."""
+        g = Graph(3, [(0, 1), (1, 2)], [2.0, 0.5])
+        L = laplacian(g)
+        W = np.diag(np.diag(L)) - L
         np.testing.assert_array_equal(W, W.T)
         assert W[0, 1] == 2.0 and W[1, 2] == 0.5 and W[0, 2] == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_edge_lists())
+    def test_matches_per_edge_reference(self, case):
+        """Accepts exactly what the per-edge loop accepts, stores the same
+        canonical pairs and weights, and otherwise raises the same error."""
+        n, edges = case
+        try:
+            expected = _reference_graph(n, edges)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                Graph(n, [(u, v) for u, v, _ in edges], [w for *_, w in edges])
+            assert str(raised.value) == str(exc)
+            return
+        g = Graph(n, [(u, v) for u, v, _ in edges], [w for *_, w in edges])
+        assert g.edges.tolist() == [[u, v] for u, v, _ in expected]
+        assert g.weights.tolist() == [w for *_, w in expected]
 
 
 class TestRandomSensorGraph:
@@ -114,25 +219,25 @@ class TestRandomSensorGraph:
         assert g.num_vertices == 256
         assert g.coordinates.shape == (256, 2)
         assert np.all((g.coordinates >= 0.0) & (g.coordinates <= 1.0))
-        weights = np.array([w for _, _, w in g.edges])
-        assert np.all(weights > 0.0) and np.all(weights <= 1.0)
+        assert np.all(g.weights > 0.0) and np.all(g.weights <= 1.0)
 
     def test_two_vertices_single_edge(self):
         """Only one topology exists on two vertices."""
         g = random_sensor_graph(2, 1, seed=123)
-        assert [(u, v) for u, v, _ in g.edges] == [(0, 1)]
+        assert g.edges.tolist() == [[0, 1]]
 
     def test_deterministic(self):
         """Identical seeds give bit-identical graphs."""
         a = random_sensor_graph(64, 6, seed=9)
         b = random_sensor_graph(64, 6, seed=9)
-        assert a.edges == b.edges
+        np.testing.assert_array_equal(a.edges, b.edges)
+        np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.coordinates, b.coordinates)
 
     def test_seed_changes_graph(self):
         a = random_sensor_graph(64, 6, seed=1)
         b = random_sensor_graph(64, 6, seed=2)
-        assert a.edges != b.edges
+        assert not np.array_equal(a.edges, b.edges)
 
     @pytest.mark.parametrize("n,k", [(16, 3), (32, 4), (64, 6), (256, 6), (20, 19)])
     def test_matches_per_vertex_reference(self, n, k):
@@ -140,9 +245,9 @@ class TestRandomSensorGraph:
         for seed in range(3):
             g = random_sensor_graph(n, k, seed=seed)
             expected = _reference_edges(g.coordinates, k)
-            assert [(u, v) for u, v, _ in g.edges] == [(u, v) for u, v, _ in expected]
+            assert g.edges.tolist() == [[u, v] for u, v, _ in expected]
             np.testing.assert_allclose(
-                [w for _, _, w in g.edges], [w for _, _, w in expected], rtol=1e-14, atol=0
+                g.weights, [w for _, _, w in expected], rtol=1e-14, atol=0
             )
 
     @pytest.mark.parametrize("k", [1, 3, 4, 8, 15])
@@ -180,7 +285,7 @@ class TestRandomSensorGraph:
 class TestLaplacian:
     def test_path_graph_p2(self):
         """P2 with unit weight: [[1,-1],[-1,1]] by definition."""
-        L = laplacian(Graph(2, [(0, 1, 1.0)]))
+        L = laplacian(Graph(2, [(0, 1)], [1.0]))
         np.testing.assert_array_equal(L, [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_row_sums_vanish(self):

@@ -16,7 +16,7 @@ def _circles_and_lines(path):
 class TestRenderSignalSvg:
     def test_two_vertex_graph(self, tmp_path):
         """Exactly 2 circles and 1 line."""
-        g = Graph(2, [(0, 1, 1.0)], coordinates=np.array([[0.0, 0.0], [1.0, 1.0]]))
+        g = Graph(2, [(0, 1)], [1.0], coordinates=np.array([[0.0, 0.0], [1.0, 1.0]]))
         out = tmp_path / "fig.svg"
         render_signal_svg(g, np.array([0.0, 1.0]), out)
         circles, lines = _circles_and_lines(out)
@@ -31,7 +31,7 @@ class TestRenderSignalSvg:
         assert len(fills) == 1
 
     def test_extremes_use_diverging_endpoints(self, tmp_path):
-        g = Graph(2, [(0, 1, 1.0)], coordinates=np.array([[0.0, 0.0], [1.0, 1.0]]))
+        g = Graph(2, [(0, 1)], [1.0], coordinates=np.array([[0.0, 0.0], [1.0, 1.0]]))
         out = tmp_path / "fig.svg"
         render_signal_svg(g, np.array([-1.0, 1.0]), out)
         circles, _ = _circles_and_lines(out)
@@ -49,18 +49,18 @@ class TestRenderSignalSvg:
         assert len(circles) == 20 and len(lines) == len(g.edges)
 
     def test_missing_coordinates_rejected(self, tmp_path):
-        g = Graph(2, [(0, 1, 1.0)])
+        g = Graph(2, [(0, 1)], [1.0])
         with pytest.raises(ValueError, match="coordinates"):
             render_signal_svg(g, np.zeros(2), tmp_path / "fig.svg")
 
     def test_length_mismatch_rejected(self, tmp_path):
-        g = Graph(2, [(0, 1, 1.0)], coordinates=np.array([[0.0, 0.0], [1.0, 1.0]]))
+        g = Graph(2, [(0, 1)], [1.0], coordinates=np.array([[0.0, 0.0], [1.0, 1.0]]))
         with pytest.raises(ValueError, match="length"):
             render_signal_svg(g, np.zeros(3), tmp_path / "fig.svg")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_signal_rejected(self, tmp_path, bad):
-        g = Graph(2, [(0, 1, 1.0)], coordinates=np.array([[0.0, 0.0], [1.0, 1.0]]))
+        g = Graph(2, [(0, 1)], [1.0], coordinates=np.array([[0.0, 0.0], [1.0, 1.0]]))
         out = tmp_path / "fig.svg"
         with pytest.raises(ValueError, match="non-finite"):
             render_signal_svg(g, np.array([0.0, bad]), out)
