@@ -30,8 +30,7 @@ def _fmt(value: float) -> str:
 
 @contextmanager
 def _naming(path):
-    """Re-raise any ValueError or OverflowError raised inside as a ValueError
-    whose message starts with ``path``."""
+    """Re-raise a ValueError or OverflowError raised inside as a ValueError naming ``path``."""
     try:
         yield
     except (ValueError, OverflowError) as exc:
@@ -55,40 +54,39 @@ def save_graph(graph: Graph, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _headed_lines(path, kind: str, count: str) -> tuple[int, list[str]]:
-    """The count in the ``n <count>`` header of a graph or signal file, and its other lines."""
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError(f"empty {kind} file")
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != "n":
-        raise ValueError(f"expected header 'n <{count}>', got {lines[0]!r}")
-    return int(header[1]), lines[1:]
-
-
-def _fields(lines: list[str], width: int, kind: str) -> list[list[str]]:
-    """Each line split into fields; a ValueError names the first without ``width`` of them."""
-    rows = [ln.split() for ln in lines]
-    for ln, fields in zip(lines, rows):
-        if len(fields) != width:
-            raise ValueError(f"bad {kind} line {ln!r}")
-    return rows
-
-
 def load_graph(path) -> Graph:
     with _naming(path):
-        n, lines = _headed_lines(path, "graph", "num_vertices")
-        pos = 0
+        lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
+        lines = [ln for ln in lines if ln]
+        if not lines:
+            raise ValueError("empty graph file")
+        header = lines[0].split()
+        if len(header) != 2 or header[0] != "n":
+            raise ValueError(f"expected header 'n <num_vertices>', got {lines[0]!r}")
+        n = int(header[1])
+        pos = 1
         coords = None
-        if lines[:1] == ["coords"]:
-            pos = 1 + n
-            if len(lines) < pos:
+        if pos < len(lines) and lines[pos] == "coords":
+            pos += 1
+            if len(lines) < pos + n:
                 raise ValueError(f"coords block needs {n} lines")
-            block = _fields(lines[1:pos], 2, "coords")
-            coords = np.array([(float(x), float(y)) for x, y in block])
-        rows = _fields(lines[pos:], 3, "edge")
-        edges = np.array([(int(u), int(v)) for u, v, _ in rows], dtype=np.intp)
-        return Graph(n, edges, [float(w) for *_, w in rows], coords)
+            coords = []
+            for ln in lines[pos : pos + n]:
+                parts = ln.split()
+                if len(parts) != 2:
+                    raise ValueError(f"bad coords line {ln!r}")
+                coords.append((float(parts[0]), float(parts[1])))
+            coords = np.array(coords)
+            pos += n
+        pairs = np.empty((len(lines) - pos, 2), dtype=np.intp)
+        weights = np.empty(len(lines) - pos)
+        for i, ln in enumerate(lines[pos:]):
+            parts = ln.split()
+            if len(parts) != 3:
+                raise ValueError(f"bad edge line {ln!r}")
+            pairs[i] = int(parts[0]), int(parts[1])
+            weights[i] = float(parts[2])
+        return Graph(n, pairs, weights, coords)
 
 
 def save_matrix(matrix: np.ndarray, path) -> None:
@@ -125,10 +123,17 @@ def save_signal(x: np.ndarray, path) -> None:
 
 def load_signal(path) -> np.ndarray:
     with _naming(path):
-        length, lines = _headed_lines(path, "signal", "len")
-        if len(lines) != length:
-            raise ValueError(f"expected {length} values, found {len(lines)}")
-        return _finite(np.array([float(ln) for ln in lines]))
+        lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
+        lines = [ln for ln in lines if ln]
+        if not lines:
+            raise ValueError("empty signal file")
+        header = lines[0].split()
+        if len(header) != 2 or header[0] != "n":
+            raise ValueError(f"expected header 'n <len>', got {lines[0]!r}")
+        length = int(header[1])
+        if len(lines) - 1 != length:
+            raise ValueError(f"expected {length} values, found {len(lines) - 1}")
+        return _finite(np.array([float(ln) for ln in lines[1:]]))
 
 
 def save_trace_csv(design: SamplingDesign, path) -> None:

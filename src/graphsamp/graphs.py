@@ -38,24 +38,20 @@ class Graph:
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(f"edges must be an m×2 array of pairs, got shape {pairs.shape}")
         if pairs.dtype.kind not in "iu":
-            raise ValueError(
-                f"edge {tuple(pairs[0].tolist())} has a non-integer vertex index ({pairs.dtype})"
-            )
+            raise ValueError(_index_fault(self.edges, n))
         weights = np.asarray(self.weights, dtype=float)
         if weights.shape != (len(pairs),):
             raise ValueError(f"got {len(pairs)} edges but weights of shape {weights.shape}")
-        u, v = pairs[:, 0], pairs[:, 1]
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        lo, hi = np.sort(pairs, axis=1).T
         out_of_range = (lo < 0) | (hi >= n)
         bad_weight = ~(np.isfinite(weights) & (weights > 0.0))
         order = np.lexsort((hi, lo))
-        lo, hi = lo[order], hi[order]
         repeat = np.zeros(len(pairs), dtype=bool)
-        repeat[order[1:]] = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-        bad = out_of_range | (u == v) | bad_weight | repeat
+        repeat[order[1:]] = (np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0)
+        bad = out_of_range | (lo == hi) | bad_weight | repeat
         if bad.any():
             i = int(np.argmax(bad))
-            a, b, w = int(u[i]), int(v[i]), float(weights[i])
+            (a, b), w = pairs[i].tolist(), float(weights[i])
             if out_of_range[i]:
                 raise ValueError(f"edge ({a}, {b}) out of range for {n} vertices")
             if a == b:
@@ -63,14 +59,12 @@ class Graph:
             if bad_weight[i]:
                 raise ValueError(f"edge ({a}, {b}) weight must be positive and finite, got {w}")
             raise ValueError(f"duplicate edge ({min(a, b)}, {max(a, b)})")
-        object.__setattr__(self, "edges", np.column_stack((lo, hi)).astype(np.intp))
+        object.__setattr__(self, "edges", np.column_stack((lo, hi))[order].astype(np.intp))
         object.__setattr__(self, "weights", weights[order])
         if self.coordinates is not None:
             coords = np.asarray(self.coordinates, dtype=float)
             if coords.shape != (n, 2):
-                raise ValueError(
-                    f"coordinates must have shape ({n}, 2), got {coords.shape}"
-                )
+                raise ValueError(f"coordinates must have shape ({n}, 2), got {coords.shape}")
             if not np.all(np.isfinite(coords)):
                 raise ValueError("coordinates must be finite")
             object.__setattr__(self, "coordinates", coords)
@@ -89,6 +83,19 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+
+def _index_fault(edges, n: int) -> str:
+    """Why numpy gave ``edges`` no integer dtype: the first edge, in input order, with a
+    non-integer or out-of-range index, or else (bools, an object array) the first edge."""
+    for u, v in edges:
+        name = f"edge ({u!r}, {v!r}) has a non-integer vertex index; each index"
+        try:
+            if not (0 <= _integer(name, u) < n and 0 <= _integer(name, v) < n):
+                return f"edge ({u}, {v}) out of range for {n} vertices"
+        except ValueError as exc:
+            return str(exc)
+    return f"edge {tuple(edges[0])} has a non-integer vertex index ({np.asarray(edges).dtype})"
 
 
 def _component_count(n: int, pairs: np.ndarray) -> int:

@@ -71,26 +71,14 @@ def render_signal_svg(graph: Graph, values: np.ndarray, path) -> None:
     edge_group = ET.SubElement(svg, "g", {"stroke": "#999999", "stroke-width": "1"})
     for u, v in graph.edges.tolist():
         ET.SubElement(
-            edge_group,
-            "line",
-            {
-                "x1": f"{pos[u, 0]:.2f}",
-                "y1": f"{pos[u, 1]:.2f}",
-                "x2": f"{pos[v, 0]:.2f}",
-                "y2": f"{pos[v, 1]:.2f}",
-            },
+            edge_group, "line", x1=f"{pos[u, 0]:.2f}", y1=f"{pos[u, 1]:.2f}",
+            x2=f"{pos[v, 0]:.2f}", y2=f"{pos[v, 1]:.2f}",
         )
     vertex_group = ET.SubElement(svg, "g", {"stroke": "#333333", "stroke-width": "0.5"})
     for i in range(graph.num_vertices):
         t = 0.5 if span == 0.0 else (x[i] - lo) / span
         ET.SubElement(
-            vertex_group,
-            "circle",
-            {
-                "cx": f"{pos[i, 0]:.2f}",
-                "cy": f"{pos[i, 1]:.2f}",
-                "r": str(_VERTEX_RADIUS),
-                "fill": _diverging_color(t),
-            },
+            vertex_group, "circle", cx=f"{pos[i, 0]:.2f}", cy=f"{pos[i, 1]:.2f}",
+            r=str(_VERTEX_RADIUS), fill=_diverging_color(t),
         )
     ET.ElementTree(svg).write(str(Path(path)), encoding="UTF-8", xml_declaration=True)

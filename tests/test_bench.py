@@ -135,6 +135,7 @@ class TestSeeds:
         )
         graph = random_sensor_graph(np.int64(8), np.int64(3), np.int64(0))
         np.testing.assert_array_equal(graph.edges, random_sensor_graph(8, 3, 0).edges)
+        np.testing.assert_array_equal(graph.weights, random_sensor_graph(8, 3, 0).weights)
         spectrum = eigendecompose(laplacian(graph))
         np.testing.assert_array_equal(
             gmrf_signal(spectrum, 0.1, top), gmrf_signal(spectrum, 0.1, 2**64 - 1)

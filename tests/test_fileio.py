@@ -101,6 +101,13 @@ class TestGraphFormat:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             load_graph(path)
 
+    def test_lines_checked_in_file_order(self, tmp_path):
+        """A bad number on an early edge line is reported before a short later line."""
+        path = tmp_path / "g.txt"
+        path.write_text("n 3\n0 x 1.0\n1 2\n")
+        with pytest.raises(ValueError, match=r"invalid literal for int\(\) with base 10: 'x'"):
+            load_graph(path)
+
 
 class TestMatrixFormat:
     def test_round_trip_exact(self, tmp_path):

@@ -145,7 +145,7 @@ class TestGraphValidation:
     @pytest.mark.parametrize("edge", [(0.7, 1), (0, 1.0), ("0", 1), (False, True)])
     def test_non_integer_vertex_index_rejected(self, edge):
         """An index is never truncated or parsed: (0.7, 1) is not edge (0, 1).
-        Nor is a bool an index."""
+        Nor is an edge of bools, which numpy stores with a bool dtype."""
         with pytest.raises(ValueError, match=r"non-integer vertex index"):
             Graph(2, [edge], [1.0])
 
@@ -158,9 +158,22 @@ class TestGraphValidation:
         assert type(Graph(np.int64(2), [(0, 1)], [1.0]).num_vertices) is int
 
     def test_numpy_integer_indices_accepted(self):
-        g = Graph(2, np.array([[1, 0]], dtype=np.uint32), [1.0])
-        assert g.edges.tolist() == [[0, 1]]
-        assert g.edges.dtype == np.intp
+        for edges in [[(np.int64(1), np.int32(0))], np.array([[1, 0]], dtype=np.uint32)]:
+            g = Graph(2, edges, [1.0])
+            assert g.edges.tolist() == [[0, 1]]
+            assert g.edges.dtype == np.intp
+
+    def test_non_integer_index_names_its_edge(self):
+        """A float anywhere makes the whole array float; the message still
+        names the edge that holds it, not the first edge."""
+        message = r"^edge \(1, 2\.5\) has a non-integer vertex index"
+        with pytest.raises(ValueError, match=message):
+            Graph(3, [(0, 1), (1, 2.5)], [1.0, 1.0])
+
+    def test_index_beyond_int64_out_of_range(self):
+        """numpy stores 2**63 as a float; it is still an integer, out of range."""
+        with pytest.raises(ValueError, match=rf"^edge \(0, {2**63}\) out of range for 2"):
+            Graph(2, [(0, 2**63)], [1.0])
 
     def test_edge_and_weight_counts_must_match(self):
         with pytest.raises(ValueError, match=r"^got 2 edges but weights of shape \(1,\)$"):
