@@ -1,17 +1,20 @@
 """Monte-Carlo sampling-and-reconstruction benchmark.
 
-Each trial draws a fresh sensor graph and signal, designs a sampling
-matrix, reconstructs from its samples, and scores the mean squared
-error; a random vertex-selection baseline runs through the identical
+Each trial draws a sensor graph and signal, designs a sampling matrix,
+reconstructs from its samples, and scores the mean squared error; a
+random vertex-selection baseline runs through the identical
 reconstruction machinery so the sampling design is the only varied
-factor. All randomness derives from the master seed through documented
-stream mixing, so a benchmark run is reproducible byte for byte.
+factor. The graph is fresh in every trial unless ``fixed_graph`` is
+set; then its set-up (graph, Laplacian, spectrum and variation
+operator) is built once and shared, read-only, by every trial. All
+randomness derives from the master seed through documented stream
+mixing, so a benchmark run is reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -160,13 +163,37 @@ def trial_seeds(cfg: ExperimentConfig, trial_index: int) -> tuple[int, int, int,
     )
 
 
-def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
-    """Run one independent trial and score the designed operator and the baseline."""
-    graph_seed, design_seed, signal_seed, baseline_seed = trial_seeds(cfg, trial_index)
-    graph = random_sensor_graph(cfg.n, cfg.graph_k, graph_seed)
+@lru_cache(maxsize=1)
+def _graph_setup(n: int, graph_k: int, graph_seed: int, response: SpectralResponse):
+    """Graph, Laplacian, spectrum and variation operator of one trial, all read-only.
+
+    Memoized for the last set of arguments, so trials on a fixed graph
+    share one set-up; every array is frozen so that no caller can
+    change what later trials read.
+    """
+    graph = random_sensor_graph(n, graph_k, graph_seed)
     lap = laplacian(graph)
     spectrum = eigendecompose(lap)
-    vo = build_variation_operator(spectrum, cfg.response)
+    vo = build_variation_operator(spectrum, response)
+    for array in (
+        graph.edges, graph.weights, graph.coordinates, lap,
+        spectrum.eigenvalues, spectrum.eigenvectors,
+        vo.singular_values, vo.singular_vectors,
+    ):
+        array.setflags(write=False)
+    return graph, lap, spectrum, vo
+
+
+def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
+    """Run one independent trial and score the designed operator and the baseline.
+
+    With ``cfg.fixed_graph`` the graph set-up is built by the first trial
+    and reused, read-only, by the next ones, even across calls; a fresh
+    graph is built for its own trial and not kept.
+    """
+    graph_seed, design_seed, signal_seed, baseline_seed = trial_seeds(cfg, trial_index)
+    setup = _graph_setup if cfg.fixed_graph else _graph_setup.__wrapped__
+    graph, lap, spectrum, vo = setup(cfg.n, cfg.graph_k, graph_seed, cfg.response)
     x = generate_signal(cfg.model, graph, spectrum, lap, seed=signal_seed)
     design = design_sampling_operator(
         vo.whitener, cfg.num_samples, replace(cfg.design, seed=design_seed)

@@ -64,6 +64,8 @@ def load_graph(path) -> Graph:
         if len(header) != 2 or header[0] != "n":
             raise ValueError(f"expected header 'n <num_vertices>', got {lines[0]!r}")
         n = int(header[1])
+        if n < 1:
+            raise ValueError(f"header vertex count must be at least 1, got {n}")
         pos = 1
         coords = None
         if pos < len(lines) and lines[pos] == "coords":

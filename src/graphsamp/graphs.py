@@ -106,11 +106,25 @@ def _component_count(n: int, pairs: np.ndarray) -> int:
 def _nearest_neighbours(dist: np.ndarray, k: int) -> np.ndarray:
     """Each vertex's k nearest other vertices, nearest first, ties by lowest index.
 
-    Sets the diagonal of ``dist`` to infinity in place: a stable sort then
-    places each vertex after all others, so no row has to drop its own index.
+    Sets the diagonal of ``dist`` to infinity in place, which places each
+    vertex after all others, so no row has to drop its own index. Each row
+    partitions off its k + 1 nearest: when the k-th of them is strictly
+    nearer than the (k+1)-th, the first k are the row's k nearest and only
+    they are sorted, by (distance, index); a row with a tie there takes the
+    stable sort of the whole row. Either way the result equals
+    ``np.argsort(dist, axis=1, kind="stable")[:, :k]``.
     """
     np.fill_diagonal(dist, np.inf)
-    return np.argsort(dist, axis=1, kind="stable")[:, :k]
+    rows = np.arange(dist.shape[0])[:, None]
+    part = np.argpartition(dist, k, axis=1)[:, : k + 1]
+    part[:, :k].sort(axis=1)
+    near = dist[rows, part]
+    order = np.argsort(near[:, :k], axis=1, kind="stable")
+    chosen = part[rows, order]
+    tied = np.flatnonzero(near[:, :k].max(axis=1) >= near[:, k])
+    if tied.size:
+        chosen[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :k]
+    return chosen
 
 
 def random_sensor_graph(n: int, k: int, seed: int) -> Graph:

@@ -1,6 +1,6 @@
 """Benchmark harness: scoring, baseline sampler, seeds, trials, and reports."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ import pytest
 from graphsamp import (
     ExperimentConfig,
     SignalModelSpec,
+    SpectralResponse,
     eigendecompose,
     gmrf_signal,
     laplacian,
@@ -22,7 +23,13 @@ from graphsamp import (
     trial_seeds,
     write_report,
 )
-from graphsamp.bench import METHOD_PROPOSED, METHOD_RANDOM_VERTEX, config_from_mapping
+from graphsamp import bench
+from graphsamp.bench import (
+    METHOD_PROPOSED,
+    METHOD_RANDOM_VERTEX,
+    _graph_setup,
+    config_from_mapping,
+)
 
 
 class TestMse:
@@ -213,6 +220,88 @@ class TestRunTrial:
     def test_distinct_trials_differ(self):
         cfg = ExperimentConfig(n=24, num_samples=6, graph_k=4, master_seed=5)
         assert run_trial(cfg, 0)[0].mse != run_trial(cfg, 1)[0].mse
+
+
+class TestGraphSetupCache:
+    """A fixed graph's set-up is built once, shared read-only, and changes no record."""
+
+    FIXED = ExperimentConfig(
+        n=24,
+        num_samples=6,
+        graph_k=4,
+        model=SignalModelSpec("pwl", density=0.25),
+        trials=5,
+        master_seed=8,
+        fixed_graph=True,
+    )
+
+    def test_fixed_graph_built_once(self, monkeypatch):
+        calls = []
+        original = bench.random_sensor_graph
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "random_sensor_graph", counting)
+        _graph_setup.cache_clear()
+        run_benchmark(self.FIXED)
+        assert len(calls) == 1
+
+    def test_records_match_a_rebuild_every_trial(self):
+        cached = run_benchmark(self.FIXED).records
+        rebuilt = []
+        for index in range(self.FIXED.trials):
+            _graph_setup.cache_clear()
+            rebuilt.extend(run_trial(self.FIXED, index))
+        assert cached == rebuilt
+
+    def test_cached_arrays_are_read_only(self):
+        run_trial(self.FIXED, 0)
+        graph_seed = trial_seeds(self.FIXED, 0)[0]
+        graph, lap, spectrum, vo = _graph_setup(
+            self.FIXED.n, self.FIXED.graph_k, graph_seed, self.FIXED.response
+        )
+        assert _graph_setup.cache_info().hits == 1
+        arrays = (
+            graph.edges, graph.weights, graph.coordinates, lap,
+            spectrum.eigenvalues, spectrum.eigenvectors,
+            vo.singular_values, vo.singular_vectors,
+        )
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"response": SpectralResponse(slope=2.0, offset=0.5)},
+            {"n": 20},
+            {"graph_k": 5},
+            {"master_seed": 9},
+        ],
+        ids=["response", "n", "graph_k", "master_seed"],
+    )
+    def test_interleaved_configs_match_separate_runs(self, change):
+        a, b = self.FIXED, replace(self.FIXED, **change)
+        alone = []
+        for cfg in (a, b):
+            _graph_setup.cache_clear()
+            alone.append([run_trial(cfg, index) for index in range(cfg.trials)])
+        _graph_setup.cache_clear()
+        interleaved = ([], [])
+        for index in range(a.trials):
+            interleaved[0].append(run_trial(a, index))
+            interleaved[1].append(run_trial(b, index))
+        assert alone[0] != alone[1]
+        assert list(interleaved) == alone
+
+    def test_fresh_graph_run_leaves_cache_alone(self):
+        run_trial(self.FIXED, 0)
+        before = _graph_setup.cache_info()
+        run_benchmark(replace(self.FIXED, fixed_graph=False, trials=3))
+        assert _graph_setup.cache_info() == before
+        assert before.currsize == 1
 
 
 class TestRunBenchmark:

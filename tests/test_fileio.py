@@ -71,6 +71,15 @@ class TestGraphFormat:
         with pytest.raises(ValueError, match="header"):
             load_graph(path)
 
+    @pytest.mark.parametrize("count", ["-1", "0"])
+    def test_nonpositive_vertex_count_rejected(self, tmp_path, count):
+        """The header count is checked before it is used as a line count."""
+        path = tmp_path / "g.txt"
+        path.write_text(f"n {count}\ncoords\n0 1 1.0\n")
+        message = f"^{re.escape(str(path))}: header vertex count must be at least 1, got {count}$"
+        with pytest.raises(ValueError, match=message):
+            load_graph(path)
+
     def test_nan_coordinate_rejected(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("n 2\ncoords\n0.0 0.0\nnan 1.0\n0 1 1.0\n")

@@ -271,6 +271,18 @@ class TestRandomSensorGraph:
         expected = _reference_neighbours(dist, k)
         np.testing.assert_array_equal(_nearest_neighbours(dist, k), expected)
 
+    @pytest.mark.parametrize("k", [1, 2, 5, 8, 13, 59])
+    def test_matches_stable_argsort_with_many_ties(self, k):
+        """Integer points on a 6x6 grid, some coincident: many rows tie at the k-th
+        distance and take the fallback, the rest the partition, and both must give
+        the stable row sort's first k columns in the same order."""
+        points = np.random.default_rng(4).integers(0, 6, size=(60, 2)).astype(float)
+        dist = _distances(points)
+        expected = dist.copy()
+        np.fill_diagonal(expected, np.inf)
+        expected = np.argsort(expected, axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(_nearest_neighbours(dist, k), expected)
+
     def test_coincident_points_keep_lowest_index_first(self):
         points = np.array([[0.5, 0.5], [0.5, 0.5], [0.1, 0.1], [0.5, 0.5]])
         dist = _distances(points)
