@@ -14,7 +14,7 @@ mixing, so a benchmark run is reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +39,15 @@ _BASELINE_STREAM = 3
 
 
 def default_radius(n: int, num_samples: int) -> float:
-    """Frobenius budget sqrt(n * K) used by the experiment presets."""
+    """Frobenius budget sqrt(n * K) used by the experiment presets.
+
+    Raises:
+        ValueError: naming ``n`` or ``k`` when it is not positive.
+    """
+    for name, value in (("n", n), ("k", num_samples)):
+        if value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
     return float(np.sqrt(n * num_samples))
-
-
-def parse_radius(text: str, n: int, num_samples: int) -> float:
-    """Frobenius radius from its text: a number, or 'auto' for ``default_radius``."""
-    return default_radius(n, num_samples) if text == "auto" else float(text)
 
 
 @dataclass(frozen=True)
@@ -177,8 +179,7 @@ def _graph_setup(n: int, graph_k: int, graph_seed: int, response: SpectralRespon
     vo = build_variation_operator(spectrum, response)
     for array in (
         graph.edges, graph.weights, graph.coordinates, lap,
-        spectrum.eigenvalues, spectrum.eigenvectors,
-        vo.singular_values, vo.singular_vectors,
+        spectrum.eigenvalues, spectrum.eigenvectors, vo.values,
     ):
         array.setflags(write=False)
     return graph, lap, spectrum, vo
@@ -304,7 +305,7 @@ def _parse_bool(raw: str) -> bool:
 # config key -> parser of its text; a 'section.name' key sets field
 # ``name`` of ExperimentConfig's ``section`` member, a key missing from a
 # config takes that dataclass's default, and 'design.epsilon' is resolved
-# by ``parse_radius`` once n and k are known
+# once n and k are known: a number, or 'auto' for ``default_radius``
 _CONFIG_PARSERS = {
     "n": int,
     "k": int,
@@ -345,10 +346,11 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
         parsed[section][name] = _parse_value(key, _CONFIG_PARSERS[key], text)
     top, design = parsed[""], parsed["design"]
     n, num_samples = top.pop("n"), top.pop("k")
-    design["epsilon"] = _parse_value(
-        "design.epsilon",
-        partial(parse_radius, n=n, num_samples=num_samples),
-        design.get("epsilon", "auto"),
+    epsilon = design.get("epsilon", "auto")
+    design["epsilon"] = (
+        default_radius(n, num_samples)
+        if epsilon == "auto"
+        else _parse_value("design.epsilon", float, epsilon)
     )
     return ExperimentConfig(
         n=n,

@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import ExperimentConfig, load_experiment_config, mse, parse_radius, run_benchmark
+from .bench import ExperimentConfig, default_radius, load_experiment_config, mse, run_benchmark
 from .design import DesignConfig, design_sampling_operator
 from .fileio import (
     load_graph,
@@ -64,7 +64,11 @@ def _cmd_design(args) -> int:
     spectrum = eigendecompose(laplacian(graph))
     response = SpectralResponse(args.response_slope, args.response_offset)
     vo = build_variation_operator(spectrum, response)
-    epsilon = _flag("--epsilon", parse_radius, args.epsilon, graph.num_vertices, args.k)
+    epsilon = (
+        default_radius(graph.num_vertices, args.k)
+        if args.epsilon == "auto"
+        else _flag("--epsilon", float, args.epsilon)
+    )
     config = DesignConfig(epsilon=epsilon, max_iter=args.max_iter, seed=seed)
     design = design_sampling_operator(vo.whitener, args.k, config)
     out = Path(args.out_dir)

@@ -54,13 +54,14 @@ def build_pipeline(vo: VariationOperator, S: np.ndarray) -> ReconstructionPipeli
     kept, the pseudo-inverse with that cutoff otherwise.
 
     Raises:
-        ValueError: if the sampling matrix has the wrong shape or a
-            non-finite entry.
+        ValueError: if the sampling matrix has the wrong shape, no
+            column, or a non-finite entry.
     """
     S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != vo.dim:
+    if S.ndim != 2 or S.shape[0] != vo.dim or S.shape[1] == 0:
         raise ValueError(
-            f"sampling matrix must have {vo.dim} rows, got shape {S.shape}"
+            f"sampling matrix must have {vo.dim} rows and at least one column, "
+            f"got shape {S.shape}"
         )
     if not np.all(np.isfinite(S)):
         raise ValueError("sampling matrix has non-finite entries")

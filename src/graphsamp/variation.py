@@ -25,8 +25,9 @@ class Whitener:
     """Whitening factor ``diag(scales) @ basis.T``, kept as its two factors.
 
     ``basis`` is an orthogonal n x n matrix and ``scales`` n positive,
-    finite row scales; orthogonality is the caller's contract, as it is
-    for ``VariationOperator.singular_vectors``, and is not re-checked.
+    finite row scales, one per basis column; orthogonality is the
+    caller's contract, as it is for ``VariationOperator.basis``, and is
+    not re-checked.
 
     Raises:
         ValueError: on mismatched shapes, or a scale that is not
@@ -53,51 +54,41 @@ class Whitener:
 
 @dataclass(frozen=True, eq=False)
 class VariationOperator:
-    """Invertible operator measuring signal variation, stored as its SVD factors.
+    """Invertible variation operator ``F = basis @ diag(values) @ basis.T``.
 
-    The operator is symmetric positive definite by construction, so its
-    left and right singular bases coincide and only
-    ``singular_values`` (descending) and the orthogonal
-    ``singular_vectors`` are stored. ``matrix`` is
-    ``singular_vectors @ diag(singular_values) @ singular_vectors.T``
-    (assembled on each access) and ``whitener`` is the factored
-    ``W = diag(1 / singular_values) @ singular_vectors.T``, for which
-    ``W.T @ W == inv(matrix.T @ matrix)``.
+    ``basis`` is the spectrum's orthogonal eigenvector matrix itself,
+    shared and in the spectrum's order, and ``values`` the positive
+    response on each of its columns. F is never formed: ``whitener`` is
+    the factored ``W = diag(1 / values) @ basis.T``, for which
+    ``W.T @ W == inv(F.T @ F)``, sharing the same ``basis`` array.
     """
 
-    singular_values: np.ndarray
-    singular_vectors: np.ndarray
+    values: np.ndarray
+    basis: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.singular_values.shape[0]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense operator ``V diag(sigma) V.T``."""
-        return (self.singular_vectors * self.singular_values) @ self.singular_vectors.T
+        return self.values.shape[0]
 
     @property
     def whitener(self) -> Whitener:
-        """Whitening factor ``diag(1 / sigma) V.T``, in factored form."""
-        return Whitener(1.0 / self.singular_values, self.singular_vectors)
+        """Whitening factor ``diag(1 / values) basis.T``, in factored form."""
+        return Whitener(1.0 / self.values, self.basis)
 
     def solve_gram(self, B: np.ndarray) -> np.ndarray:
-        """Solve ``(matrix.T @ matrix) X = B`` through the spectral factors."""
+        """Solve ``(F.T @ F) X = B`` through the spectral factors."""
         B = np.asarray(B, dtype=float)
         if B.shape[0] != self.dim:
             raise ValueError(f"expected {self.dim} rows, got shape {B.shape}")
-        coeffs = self.singular_vectors.T @ B
-        inv_sq = self.singular_values**2
+        coeffs = self.basis.T @ B
+        inv_sq = self.values**2
         if coeffs.ndim == 1:
-            return self.singular_vectors @ (coeffs / inv_sq)
-        return self.singular_vectors @ (coeffs / inv_sq[:, None])
+            return self.basis @ (coeffs / inv_sq)
+        return self.basis @ (coeffs / inv_sq[:, None])
 
     def gram(self) -> np.ndarray:
-        """Materialize ``matrix.T @ matrix`` from the spectral factors."""
-        return (
-            self.singular_vectors * self.singular_values**2
-        ) @ self.singular_vectors.T
+        """Materialize ``F.T @ F`` from the spectral factors."""
+        return (self.basis * self.values**2) @ self.basis.T
 
 
 def build_variation_operator(
@@ -106,12 +97,9 @@ def build_variation_operator(
     """Assemble the variation operator for a spectrum and response.
 
     The operator is ``U @ diag(response(eigenvalues)) @ U.T`` with U the
-    spectrum's eigenvector matrix. The response must be strictly
-    positive on every eigenvalue, which makes the operator symmetric
-    positive definite; its SVD is then read off the spectral factors
-    directly (re-sorted so singular values are descending) instead of a
-    general SVD routine, which also removes sign and ordering
-    nondeterminism.
+    spectrum's eigenvector matrix, which it keeps as its ``basis``
+    without a copy. The response must be strictly positive on every
+    eigenvalue, which makes the operator symmetric positive definite.
 
     Raises:
         ValueError: if the response is not strictly positive on the
@@ -125,11 +113,6 @@ def build_variation_operator(
             "spectral response must be positive on the whole spectrum "
             f"(min value {float(values.min()):g})"
         )
-    order = np.argsort(-values, kind="stable")
-    sing_vals = values[order]
-    if sing_vals[-1] <= 1e-12 * sing_vals[0]:
+    if values.min() <= 1e-12 * values.max():
         raise ValueError("variation operator is numerically singular")
-    return VariationOperator(
-        singular_values=sing_vals,
-        singular_vectors=spectrum.eigenvectors[:, order],
-    )
+    return VariationOperator(values=values, basis=spectrum.eigenvectors)

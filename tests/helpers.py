@@ -1,5 +1,6 @@
 """Test-only oracles: nuclear norm, numerical rank, the nuclear-norm
-subgradient, and the dense matrix of a factored whitener.
+subgradient, and the dense matrices of a factored variation operator
+and whitener.
 
 The package reads none of these; the design loop takes the polar factor
 through ``graphsamp.design._polar_factor``, which ``nuclear_subgradient``
@@ -33,3 +34,8 @@ def nuclear_subgradient(M):
 def dense_whitener(whitener):
     """The n x n matrix ``diag(scales) @ basis.T`` of a ``Whitener``."""
     return whitener.scales[:, None] * whitener.basis.T
+
+
+def dense_operator(vo):
+    """The n x n matrix ``basis @ diag(values) @ basis.T`` of a ``VariationOperator``."""
+    return (vo.basis * vo.values) @ vo.basis.T

@@ -265,8 +265,7 @@ class TestGraphSetupCache:
         assert _graph_setup.cache_info().hits == 1
         arrays = (
             graph.edges, graph.weights, graph.coordinates, lap,
-            spectrum.eigenvalues, spectrum.eigenvectors,
-            vo.singular_values, vo.singular_vectors,
+            spectrum.eigenvalues, spectrum.eigenvectors, vo.values, vo.basis,
         )
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,16 @@ class TestDesignCommand:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_nonpositive_k_named(self, tmp_path, capsys, k):
+        """k is refused by name before the 'auto' radius sqrt(n * k) is
+        taken, so no nan or zero epsilon is reported and nothing warns."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["design", "--n", "32", "--k", k, "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: k must be positive, got {k}\n"
+
 
 class TestReconstructCommand:
     def test_round_trip_mse(self, tmp_path, graph_file, capsys):
@@ -195,6 +206,28 @@ class TestReconstructCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {xpath}: could not convert string to float: 'abc'")
+
+    def test_sampling_matrix_without_columns_fails(self, tmp_path, graph_file, capsys):
+        """An S.txt of shape 24 x 0 is reported by its shape, not a traceback."""
+        _, gpath = graph_file
+        spath = tmp_path / "S.txt"
+        spath.write_text("24 0\n")
+        xpath = tmp_path / "x.txt"
+        save_signal(np.zeros(24), xpath)
+        rc = main(
+            [
+                "reconstruct",
+                "--graph", str(gpath),
+                "--sampling", str(spath),
+                "--signal", str(xpath),
+                "--out-dir", str(tmp_path / "rec"),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: sampling matrix must have 24 rows and at least one column, "
+            "got shape (24, 0)\n"
+        )
 
 
 class TestBenchCommand:

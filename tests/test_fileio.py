@@ -1,6 +1,7 @@
 """Round trips and error handling for the text file formats."""
 
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -369,6 +370,19 @@ class TestExperimentConfigFile:
     def test_missing_required_rejected(self):
         with pytest.raises(ValueError, match="missing required"):
             config_from_mapping({"n": "32"})
+
+    @pytest.mark.parametrize(
+        "n, k, name", [("32", "0", "k"), ("32", "-2", "k"), ("-5", "3", "n"), ("0", "3", "n")]
+    )
+    def test_nonpositive_n_or_k_named_before_auto_radius(self, tmp_path, n, k, name):
+        """sqrt(n * k) is never taken of a negative product: the value is
+        named, not reported as a nan or zero epsilon, and warns of nothing."""
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"n {n}\nk {k}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} must be positive, got "):
+                load_experiment_config(path)
 
     def test_explicit_epsilon(self):
         cfg = config_from_mapping({"n": "32", "k": "8", "design.epsilon": "5.5"})

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import dense_operator
 
 from graphsamp import (
     SpectralResponse,
@@ -59,7 +60,8 @@ class TestBuildPipeline:
         vo = _sensor_operator(16, seed=1)
         rng = np.random.RandomState(1)
         S = rng.randn(16, 5)
-        expected = np.linalg.inv(vo.matrix.T @ vo.matrix) @ S
+        F = dense_operator(vo)
+        expected = np.linalg.inv(F.T @ F) @ S
         p = build_pipeline(vo, S)
         np.testing.assert_allclose(p.prior_matrix, expected, rtol=1e-8, atol=1e-12)
 
@@ -82,6 +84,13 @@ class TestBuildPipeline:
         vo = _sensor_operator(12, seed=4)
         with pytest.raises(ValueError, match="rows"):
             build_pipeline(vo, np.zeros((11, 3)))
+
+    def test_no_columns_rejected(self):
+        """A 12 x 0 sampling matrix takes no samples; it is refused by shape,
+        not left to fail inside the correction's SVD."""
+        vo = _sensor_operator(12, seed=4)
+        with pytest.raises(ValueError, match=r"at least one column, got shape \(12, 0\)"):
+            build_pipeline(vo, np.zeros((12, 0)))
 
 
 class TestSample:
@@ -188,14 +197,15 @@ class TestKktReconstruct:
         c = rng.randn(8)
         x = kkt_reconstruct(vo, S, c)
         assert np.linalg.norm(S.T @ x - c) <= 1e-9 * np.linalg.norm(c)
-        base = np.linalg.norm(vo.matrix @ x)
+        F = dense_operator(vo)
+        base = np.linalg.norm(F @ x)
         # feasible probes: x plus anything in the null space of S^T
         proj = S @ np.linalg.solve(S.T @ S, S.T)
         for _ in range(100):
             r = rng.randn(32)
             y = x + (r - proj @ r)
             assert np.linalg.norm(S.T @ y - c) <= 1e-8 * max(np.linalg.norm(c), 1.0)
-            assert base <= np.linalg.norm(vo.matrix @ y) + 1e-9
+            assert base <= np.linalg.norm(F @ y) + 1e-9
 
     def test_degenerate_sampling_rejected(self):
         vo = _identity_operator(4)

@@ -1,8 +1,10 @@
 """Variation operator assembly, whitening factor, and their identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from helpers import dense_whitener
+from helpers import dense_operator, dense_whitener
 
 from graphsamp import (
     SpectralResponse,
@@ -31,23 +33,24 @@ class TestSpectralResponse:
         spectrum = eigendecompose(laplacian(random_sensor_graph(64, 6, seed=0)))
         assert abs(spectrum.eigenvalues[0]) < 1e-12
         vo = build_variation_operator(spectrum, SpectralResponse())
-        assert vo.singular_values[-1] > 0.0
+        assert vo.values.min() > 0.0
 
 
 class TestBuildVariationOperator:
     def test_p2_response_eigenvalues(self):
-        """Spectrum (0, 2) with lam + 0.1 gives operator singular values (2.1, 0.1)."""
+        """Spectrum (0, 2) with lam + 0.1 gives operator values (0.1, 2.1), in
+        the spectrum's order."""
         spectrum = eigendecompose(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         vo = build_variation_operator(spectrum, SpectralResponse(1.0, 0.1))
-        np.testing.assert_allclose(vo.singular_values, [2.1, 0.1], atol=1e-12)
-        direct = np.sort(np.linalg.svd(vo.matrix, compute_uv=False))[::-1]
-        np.testing.assert_allclose(direct, [2.1, 0.1], atol=1e-12)
+        np.testing.assert_allclose(vo.values, [0.1, 2.1], atol=1e-12)
+        direct = np.sort(np.linalg.svd(dense_operator(vo), compute_uv=False))
+        np.testing.assert_allclose(direct, [0.1, 2.1], atol=1e-12)
 
     def test_identity_response_gives_identity(self):
         """Constant response 1 on a spectrum with identity eigenvectors."""
         spectrum = eigendecompose(np.diag([1.0, 2.0, 3.0]))
         vo = build_variation_operator(spectrum, SpectralResponse(0.0, 1.0))
-        np.testing.assert_allclose(vo.matrix, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(dense_operator(vo), np.eye(3), atol=1e-12)
         np.testing.assert_allclose(dense_whitener(vo.whitener), np.eye(3), atol=1e-12)
 
     def test_nonpositive_response_rejected(self):
@@ -58,19 +61,27 @@ class TestBuildVariationOperator:
         with pytest.raises(ValueError, match="positive"):
             build_variation_operator(spectrum, SpectralResponse(1.0, -5.0))
 
-    def test_singular_values_descending(self):
-        _, vo = _sensor_operator(24, seed=3)
-        assert np.all(np.diff(vo.singular_values) <= 0.0)
+    def test_values_in_spectrum_order(self):
+        """Values follow the spectrum's ascending eigenvalues: ascending for a
+        positive slope, descending for a negative one."""
+        spectrum, vo = _sensor_operator(24, seed=3)
+        assert np.all(np.diff(vo.values) >= 0.0)
+        falling = build_variation_operator(spectrum, SpectralResponse(-0.01, 10.0))
+        assert np.all(np.diff(falling.values) <= 0.0)
+        assert falling.basis is vo.basis
 
     def test_matrix_symmetric(self):
         _, vo = _sensor_operator(24, seed=5)
-        sigma_max = vo.singular_values[0]
-        assert np.max(np.abs(vo.matrix - vo.matrix.T)) <= 1e-10 * sigma_max
+        F = dense_operator(vo)
+        assert np.max(np.abs(F - F.T)) <= 1e-10 * vo.values.max()
 
     def test_svd_factors_rebuild_matrix(self):
-        _, vo = _sensor_operator(20, seed=7)
-        rebuilt = (vo.singular_vectors * vo.singular_values) @ vo.singular_vectors.T
-        assert np.max(np.abs(rebuilt - vo.matrix)) <= 1e-8 * vo.singular_values[0]
+        """The factors rebuild ``L + 0.1 I``, the affine response of the Laplacian."""
+        lap = laplacian(random_sensor_graph(20, 6, seed=7))
+        vo = build_variation_operator(eigendecompose(lap), SpectralResponse(1.0, 0.1))
+        rebuilt = (vo.basis * vo.values) @ vo.basis.T
+        assert np.max(np.abs(rebuilt - dense_operator(vo))) <= 1e-8 * vo.values.max()
+        assert np.max(np.abs(rebuilt - (lap + 0.1 * np.eye(20)))) <= 1e-8 * vo.values.max()
 
 
 class TestWhitener:
@@ -81,17 +92,18 @@ class TestWhitener:
         S = rng.randn(16, 5)
         AS = dense_whitener(vo.whitener) @ S
         lhs = AS.T @ AS
-        gram_inv = np.linalg.inv(vo.matrix.T @ vo.matrix)
+        F = dense_operator(vo)
+        gram_inv = np.linalg.inv(F.T @ F)
         rhs = S.T @ gram_inv @ S
         scale = np.max(np.abs(rhs))
         assert np.max(np.abs(lhs - rhs)) <= 1e-6 * scale
 
     def test_whiten_matches_triple_loop(self):
-        """Naive O(n^3) oracle of ``diag(1 / sigma) V.T @ S`` from the spectral factors."""
+        """Naive O(n^3) oracle of ``diag(1 / values) basis.T @ S`` from the spectral factors."""
         _, vo = _sensor_operator(8, seed=2)
         rng = np.random.RandomState(1)
         S = rng.randn(8, 3)
-        V, sigma = vo.singular_vectors, vo.singular_values
+        V, sigma = vo.basis, vo.values
         expected = np.zeros((8, 3))
         for i in range(8):
             for j in range(3):
@@ -110,12 +122,12 @@ class TestWhitener:
         np.testing.assert_array_equal(A @ np.zeros((3, 2)), np.zeros((3, 2)))
 
     def test_factors_are_the_operators_own(self):
-        """Scales are ``1 / sigma`` in the operator's order; the basis is
-        ``singular_vectors`` itself, not a copy."""
+        """Scales are ``1 / values`` in the operator's order; the basis is
+        ``basis`` itself, not a copy."""
         _, vo = _sensor_operator(16, seed=9)
         w = vo.whitener
-        np.testing.assert_array_equal(w.scales, 1.0 / vo.singular_values)
-        assert w.basis is vo.singular_vectors
+        np.testing.assert_array_equal(w.scales, 1.0 / vo.values)
+        assert w.basis is vo.basis
 
     @pytest.mark.parametrize(
         "scales, basis, message",
@@ -141,7 +153,8 @@ class TestWhitener:
         _, vo = _sensor_operator(16, seed=4)
         rng = np.random.RandomState(3)
         B = rng.randn(16, 4)
-        expected = np.linalg.inv(vo.matrix.T @ vo.matrix) @ B
+        F = dense_operator(vo)
+        expected = np.linalg.inv(F.T @ F) @ B
         np.testing.assert_allclose(vo.solve_gram(B), expected, rtol=1e-8, atol=1e-10)
 
 
@@ -149,10 +162,11 @@ class TestSmoothnessIdentities:
     def test_parseval_energy(self):
         """||Fx||^2 equals the response-weighted spectral energy."""
         spectrum, vo = _sensor_operator(20, seed=6)
+        F = dense_operator(vo)
         rng = np.random.RandomState(5)
         for _ in range(10):
             x = rng.randn(20)
-            lhs = float(np.linalg.norm(vo.matrix @ x) ** 2)
+            lhs = float(np.linalg.norm(F @ x) ** 2)
             coef = spectrum.eigenvectors.T @ x
             rhs = float(np.sum((spectrum.eigenvalues + 0.1) ** 2 * coef**2))
             assert abs(lhs - rhs) <= 1e-8 * rhs
@@ -161,7 +175,8 @@ class TestSmoothnessIdentities:
         """smallest sigma(AS) and smallest |eig| of S^T inv(F*F) S cross the
         rank threshold together."""
         _, vo = _sensor_operator(12, seed=8)
-        gram_inv = np.linalg.inv(vo.matrix.T @ vo.matrix)
+        F = dense_operator(vo)
+        gram_inv = np.linalg.inv(F.T @ F)
         rng = np.random.RandomState(7)
         full = rng.randn(12, 4)
         deficient = full.copy()
@@ -172,3 +187,26 @@ class TestSmoothnessIdentities:
             sv_ok = sv[-1] > 1e-10 * sv[0]
             eig_ok = eigs.min() > 1e-10 * eigs.max()
             assert sv_ok == eig_ok == expect_invertible
+
+
+class TestSharedBasis:
+    def test_operator_is_a_view_of_its_spectrum(self):
+        """The basis is the spectrum's eigenvector array, shared with the
+        whitener, and the values are the response on each eigenvalue."""
+        spectrum, vo = _sensor_operator(32, seed=11)
+        assert vo.basis is spectrum.eigenvectors
+        assert vo.whitener.basis is vo.basis
+        np.testing.assert_array_equal(vo.values, SpectralResponse()(spectrum.eigenvalues))
+
+    def test_build_allocates_no_square_array(self):
+        """Building the operator at n=512 peaks below one n x n float array:
+        the basis is shared, not copied."""
+        n = 512
+        spectrum = eigendecompose(laplacian(random_sensor_graph(n, 6, seed=0)))
+        tracemalloc.start()
+        try:
+            build_variation_operator(spectrum, SpectralResponse())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
