@@ -17,6 +17,17 @@ out of the loop, because the Frobenius ball is invariant under rotation.
 So the loop iterates on ``T = Q.T @ S``, where whitening is a row scaling
 by d, and rotates back once at the end.
 
+Only the rows of T for the ``m = min(n, ROWS_PER_SAMPLE * K)`` largest
+scales take part. The optimum ``Q_K diag(epsilon d_K / ||d_K||)`` lies in
+the span of the K columns of Q with the largest scales, and a row of T
+that is zero stays zero under the row scaling, the polar factor and the
+ball projection. So the loop on those m rows is exactly the full loop
+started from ``Q_m Q_m.T S_0``, with the same ball constraint, monotone
+nuclear norm and critical-point limit, and each iteration costs m x K
+work instead of n x K. With twice K rows the reconstructions match the
+full loop's; with K + 1 they were about 8% further from the closed-form
+optimum's at n = 1024, K = 128.
+
 The step length is ``gamma = STEP_SCALE * epsilon / max(d)``. The
 proximal linearized DC loop reaches a critical point for any gamma > 0
 (Souza, Oliveira & Soubeyran 2016), and this is the one rule that is
@@ -29,6 +40,7 @@ matrix to resolve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +52,8 @@ from .variation import Whitener
 STOP_TOL = 1e-5
 # step length gamma = STEP_SCALE * epsilon / max(d)
 STEP_SCALE = 10.0
+# the loop keeps the ROWS_PER_SAMPLE * K rows of T with the largest scales
+ROWS_PER_SAMPLE = 2
 # the polar factor takes the SVD when the Gram matrix's eigenvalues span
 # more than this ratio, i.e. when cond(M) >= 1e4
 GRAM_COND_LIMIT = 1e8
@@ -88,11 +102,17 @@ def project_frobenius_ball(X: np.ndarray, radius: float) -> np.ndarray:
 
     Returns X unchanged inside the ball, otherwise X scaled by
     ``radius / ||X||_F``.
+
+    Raises:
+        ValueError: if the radius is not positive and finite, or X has
+            a non-finite Frobenius norm (a nan or inf entry).
     """
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     X = np.asarray(X, dtype=float)
     norm = float(np.linalg.norm(X))
+    if not math.isfinite(norm):
+        raise ValueError(f"X must have a finite Frobenius norm, got {norm}")
     if norm <= radius:
         return X
     return X * (radius / norm)
@@ -135,28 +155,34 @@ def design_sampling_operator(
     Starts from a standard-Gaussian matrix S (seeded by ``config.seed``)
     projected into the Frobenius ball of radius ``config.epsilon``.
     With the whitener ``A = diag(d) Q.T`` (``whitener.scales`` and
-    ``whitener.basis``), the loop iterates on ``T = Q.T @ S`` and
-    repeats: take the polar factor G of ``d * T``, which is the
+    ``whitener.basis``), keeps the m = min(n, ROWS_PER_SAMPLE * K)
+    columns Q_m of Q with the largest scales (ties to the lowest index;
+    all of Q when m = n), iterates on ``T = Q_m.T @ S`` and repeats:
+    take the polar factor G of ``d * T``, which is the
     nuclear-norm subgradient at ``A @ S``, move along ``gamma * d * G``
     with ``gamma = STEP_SCALE * epsilon / max(d)``, and project back onto
     the ball. This is the step ``S + gamma * A.T @ G`` written in the
     rotated coordinates, and the trace's norms are the same in either.
     Stops when
     ``||T_next - T||_F <= STOP_TOL * ||T||_F`` or after ``max_iter``
-    iterations (reported via ``converged``), and returns ``S = Q @ T``.
+    iterations (reported via ``converged``), and returns ``S = Q_m @ T``.
 
     Raises:
         ValueError: on a non-integer or out-of-range sample count, or a
             zero whitened iterate (propagated from the subgradient).
     """
-    d = whitener.scales[:, None]
-    Q = whitener.basis
+    scales, Q = whitener.scales, whitener.basis
     n = Q.shape[0]
     num_samples = _integer("num_samples", num_samples)
     if not 1 <= num_samples < n:
         raise ValueError(
             f"num_samples must satisfy 1 <= K < {n}, got {num_samples}"
         )
+    m = min(n, ROWS_PER_SAMPLE * num_samples)
+    if m < n:
+        keep = np.sort(np.argsort(-scales, kind="stable")[:m])
+        scales, Q = scales[keep], Q[:, keep]
+    d = scales[:, None]
     step_scales = (STEP_SCALE * config.epsilon / float(np.max(d))) * d
     rng = np.random.default_rng(config.seed)
     T = Q.T @ project_frobenius_ball(

@@ -133,6 +133,8 @@ def load_signal(path) -> np.ndarray:
         if len(header) != 2 or header[0] != "n":
             raise ValueError(f"expected header 'n <len>', got {lines[0]!r}")
         length = int(header[1])
+        if length < 0:
+            raise ValueError(f"header '{lines[0]}' has a negative length")
         if len(lines) - 1 != length:
             raise ValueError(f"expected {length} values, found {len(lines) - 1}")
         return _finite(np.array([float(ln) for ln in lines[1:]]))

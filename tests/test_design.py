@@ -3,8 +3,9 @@
 Oracles:
 - the design loop: the dense loop on ``A @ S``, A the whitener's dense
   matrix, with the polar factor from ``np.linalg.svd`` and the step length
-  from A's singular values, kept here as the reference for the
-  spectral-coordinate loop;
+  from A's singular values, started from the same restriction of the
+  Gaussian start to the kept columns, kept here as the reference for the
+  spectral-coordinate loop on the kept rows;
 - the polar factor: ``U @ Vt`` of ``np.linalg.svd``, the form the Gram
   matrix route replaces;
 - the design optimum: ``max ||A S||_* over ||S||_F <= eps`` equals
@@ -19,18 +20,28 @@ import numpy as np
 import pytest
 from helpers import dense_whitener, nuclear_norm, nuclear_subgradient, numerical_rank
 
+import graphsamp.design as design_module
 from graphsamp import (
     DesignConfig,
     SpectralResponse,
+    build_pipeline,
     build_variation_operator,
     default_radius,
     design_sampling_operator,
     eigendecompose,
+    gmrf_signal,
     laplacian,
     project_frobenius_ball,
     random_sensor_graph,
+    sample,
 )
-from graphsamp.design import STEP_SCALE, STOP_TOL, SamplingDesign, _polar_factor
+from graphsamp.design import (
+    ROWS_PER_SAMPLE,
+    STEP_SCALE,
+    STOP_TOL,
+    SamplingDesign,
+    _polar_factor,
+)
 from graphsamp.variation import Whitener
 
 
@@ -54,9 +65,22 @@ def _svd_polar_factor(M):
     return U @ Vt, s
 
 
+def _kept_columns(whitener, num_samples):
+    """The basis columns of the ``min(n, ROWS_PER_SAMPLE * K)`` largest
+    scales, ties to the lowest index, by a Python sort."""
+    scales = whitener.scales.tolist()
+    m = min(len(scales), ROWS_PER_SAMPLE * num_samples)
+    keep = sorted(sorted(range(len(scales)), key=lambda i: (-scales[i], i))[:m])
+    return whitener.basis[:, keep]
+
+
 def _reference_design(whitener, num_samples, config):
     """The dense loop: two n x n products and a thin SVD per iteration, on S
-    itself, with the step length taken from A's largest singular value."""
+    itself, with the step length taken from A's largest singular value.
+
+    It starts from ``Q_m Q_m.T S_0``, the projected Gaussian restricted to
+    the span of the kept columns, and runs on all n rows from there.
+    """
     A = dense_whitener(whitener)
     n = A.shape[0]
     gamma = STEP_SCALE * config.epsilon / np.linalg.svd(A, compute_uv=False)[0]
@@ -64,6 +88,8 @@ def _reference_design(whitener, num_samples, config):
     S = project_frobenius_ball(
         rng.standard_normal((n, num_samples)), config.epsilon
     )
+    Q_m = _kept_columns(whitener, num_samples)
+    S = Q_m @ (Q_m.T @ S)
     nuc, steps, frobs = [], [], []
     converged = False
     iterations = 0
@@ -143,6 +169,19 @@ class TestProjectFrobeniusBall:
     def test_bad_radius_rejected(self):
         with pytest.raises(ValueError, match="radius"):
             project_frobenius_ball(np.ones((2, 2)), 0.0)
+
+    @pytest.mark.parametrize("radius", [np.inf, np.nan])
+    def test_non_finite_radius_rejected(self, radius):
+        """An infinite radius would return every X unchanged."""
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            project_frobenius_ball(np.ones((2, 2)), radius)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        X = np.ones((3, 2))
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="X must have a finite Frobenius norm"):
+            project_frobenius_ball(X, 1.0)
 
 
 class TestNuclearSubgradient:
@@ -417,6 +456,7 @@ class TestSpectralLoopAgainstDenseLoop:
             "variation-24",
             "variation-64",
             "variation-256",
+            "random-8",
             "identity-16",
             "random-40",
             "offset-64",
@@ -428,7 +468,8 @@ class TestSpectralLoopAgainstDenseLoop:
         Step norms are differences of nearly equal iterates, so their
         rounding is relative to the iterate's norm, at most epsilon. The
         offset whitener's iterates are too ill-conditioned for the Gram
-        route, so that case runs the polar factor's SVD branch.
+        route, so that case runs the polar factor's SVD branch. At n=8,
+        K=4 the loop keeps all 2K = n rows.
         """
         kind, n = case.rsplit("-", 1)
         n = int(n)
@@ -475,10 +516,59 @@ class TestClosedFormCertificate:
     def test_random_whitener_reaches_certificate(self):
         self._check(_random_whitener(40, seed=3), 5, seed=4)
 
+    def test_largest_scales_last_reach_certificate(self):
+        """A negative slope puts the largest scales on the basis's last
+        columns, so keeping the first 2K columns would miss the optimum."""
+        n = 256
+        spectrum = eigendecompose(laplacian(random_sensor_graph(n, 6, 1)))
+        offset = float(spectrum.eigenvalues.max()) + 0.1
+        W = build_variation_operator(spectrum, SpectralResponse(-1.0, offset)).whitener
+        assert np.argmax(W.scales) == n - 1
+        self._check(W, 32, seed=1)
+
     def test_identity_tie_compares_nuclear_norms(self):
         """With d constant every K-frame of the right size is optimal, so
         only the nuclear norm is compared, never the matrix."""
         self._check(_identity(16), 4, seed=0)
+
+
+class TestTruncatedRows:
+    """The loop runs on the ``ROWS_PER_SAMPLE * K`` rows of largest scale."""
+
+    @pytest.mark.parametrize("case", ["random-40", "variation-64"])
+    def test_design_in_span_of_kept_columns(self, case):
+        """After 5 iterations, far from the optimum: a loop on all n rows
+        would still carry the start's other components."""
+        kind, n = case.rsplit("-", 1)
+        n = int(n)
+        W = _random_whitener(n, seed=n) if kind == "random" else _whitener(n, seed=n)
+        K = n // 8
+        cfg = DesignConfig(epsilon=default_radius(n, K), seed=1, max_iter=5)
+        design = design_sampling_operator(W, K, cfg)
+        S = design.matrix
+        Q_m = _kept_columns(W, K)
+        assert Q_m.shape == (n, 2 * K)
+        assert np.linalg.norm(S - Q_m @ (Q_m.T @ S)) <= 1e-12 * np.linalg.norm(S)
+
+    def test_reconstruction_matches_all_rows(self, monkeypatch):
+        """m = 2K and m = n from one seed reconstruct a GMRF signal to 1e-4
+        relative; the two differ by 3e-6 here, while the distance of either
+        to the closed-form reconstruction is of order 5e-4."""
+        n, K = 256, 32
+        g = random_sensor_graph(n, 6, 0)
+        spectrum = eigendecompose(laplacian(g))
+        vo = build_variation_operator(spectrum, SpectralResponse(1.0, 0.1))
+        x = gmrf_signal(spectrum, 0.1, 100)
+        cfg = DesignConfig(epsilon=default_radius(n, K), seed=7)
+
+        def reconstruct():
+            S = design_sampling_operator(vo.whitener, K, cfg).matrix
+            return build_pipeline(vo, S).reconstruct(sample(S, x))
+
+        truncated = reconstruct()
+        monkeypatch.setattr(design_module, "ROWS_PER_SAMPLE", n)
+        full = reconstruct()
+        assert np.linalg.norm(truncated - full) <= 1e-4 * np.linalg.norm(full)
 
 
 def test_readme_library_example(capsys):

@@ -184,6 +184,15 @@ class TestSignalFormat:
         with pytest.raises(ValueError, match="expected 3"):
             load_signal(path)
 
+    @pytest.mark.parametrize("length", ["-2", "-1"])
+    def test_negative_length_rejected(self, tmp_path, length):
+        """The header length is checked before it is compared with the value count."""
+        path = tmp_path / "x.txt"
+        path.write_text(f"n {length}\n")
+        message = f"^{re.escape(str(path))}: header 'n {length}' has a negative length$"
+        with pytest.raises(ValueError, match=message):
+            load_signal(path)
+
     @pytest.mark.parametrize("text", ["n 2.0\n1.0\n2.0\n", "n 2\n1.0\nabc\n"], ids=["header", "value"])
     def test_malformed_number_names_file(self, tmp_path, text):
         path = tmp_path / "x.txt"
