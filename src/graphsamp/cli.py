@@ -17,11 +17,11 @@ from .fileio import (
     save_signal,
     save_trace_csv,
 )
-from .graphs import eigendecompose, laplacian, random_sensor_graph
+from .graphs import eigendecompose, laplacian, random_sensor_graph, sparse_laplacian
 from .reconstruct import build_pipeline, sample
 from .render import render_signal_svg
 from .seeds import _seed
-from .variation import SpectralResponse, build_variation_operator
+from .variation import SpectralResponse, build_sparse_variation_operator, build_variation_operator
 
 
 def _add_graph_source(parser: argparse.ArgumentParser) -> None:
@@ -89,9 +89,8 @@ def _cmd_reconstruct(args) -> int:
     graph, _ = _obtain_graph(args)
     S = load_matrix(args.sampling)
     x = load_signal(args.signal)
-    spectrum = eigendecompose(laplacian(graph))
     response = SpectralResponse(args.response_slope, args.response_offset)
-    vo = build_variation_operator(spectrum, response)
+    vo = build_sparse_variation_operator(sparse_laplacian(graph), response)
     pipeline = build_pipeline(vo, S)
     x_hat = pipeline.reconstruct(sample(S, x))
     out = Path(args.out_dir)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .seeds import _UINT64_MASK, _integer, _seed
@@ -176,6 +176,24 @@ def laplacian(graph: Graph) -> np.ndarray:
     W = np.zeros((graph.num_vertices, graph.num_vertices))
     W[u, v] = W[v, u] = graph.weights
     return np.diag(W.sum(axis=1)) - W
+
+
+def sparse_laplacian(graph: Graph) -> csc_matrix:
+    """Combinatorial Laplacian as a sparse CSC matrix, with no n x n array.
+
+    Degrees are ``np.bincount`` sums of the edge weights. The matrix is
+    symmetric, so it is also its own CSR transpose; the dense
+    ``laplacian`` is its oracle.
+    """
+    n = graph.num_vertices
+    u, v = graph.edges.T
+    w = graph.weights
+    degrees = np.bincount(u, w, n) + np.bincount(v, w, n)
+    diagonal = np.arange(n)
+    rows = np.concatenate((u, v, diagonal))
+    cols = np.concatenate((v, u, diagonal))
+    data = np.concatenate((-w, -w, degrees))
+    return coo_matrix((data, (rows, cols)), shape=(n, n)).tocsc()
 
 
 def eigendecompose(matrix: np.ndarray) -> Spectrum:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
@@ -11,6 +12,17 @@ from .variation import VariationOperator
 # singular values of S.T @ prior at or below INV_TOL times the largest
 # are left out of the correction's (pseudo-)inverse
 INV_TOL = 1e-10
+
+
+class GramSolver(Protocol):
+    """What reconstruction needs of a variation operator F: its dimension n
+    and solves with ``F.T @ F``. ``VariationOperator`` and
+    ``SparseVariationOperator`` are both one."""
+
+    @property
+    def dim(self) -> int: ...
+
+    def solve_gram(self, B: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,11 +56,12 @@ class ReconstructionPipeline:
         return self.prior_matrix @ (self.correction @ c)
 
 
-def build_pipeline(vo: VariationOperator, S: np.ndarray) -> ReconstructionPipeline:
+def build_pipeline(vo: GramSolver, S: np.ndarray) -> ReconstructionPipeline:
     """Build the least-squares reconstruction pipeline for a sampling matrix.
 
-    The prior matrix Q solves ``(F.T @ F) Q = S`` through the variation
-    operator's spectral factors (no explicit inverse). The correction
+    The prior matrix Q solves ``(F.T @ F) Q = S`` through
+    ``vo.solve_gram`` (no explicit inverse); ``vo`` needs nothing else
+    but its ``dim``. The correction
     inverts ``S.T @ Q`` through its SVD, keeping the singular values
     above ``INV_TOL`` relative to the largest: the inverse when all are
     kept, the pseudo-inverse with that cutoff otherwise.

@@ -1,10 +1,13 @@
-"""Smoothness (variation) operators built from a spectral response."""
+"""Smoothness (variation) operators: spectral, from a Laplacian spectrum and a
+response, or sparse, from the Laplacian itself when the response is affine."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csc_matrix, identity
+from scipy.sparse.linalg import SuperLU, eigsh, splu
 
 from .graphs import Spectrum
 
@@ -77,10 +80,7 @@ class VariationOperator:
 
     def solve_gram(self, B: np.ndarray) -> np.ndarray:
         """Solve ``(F.T @ F) X = B`` through the spectral factors."""
-        B = np.asarray(B, dtype=float)
-        if B.shape[0] != self.dim:
-            raise ValueError(f"expected {self.dim} rows, got shape {B.shape}")
-        coeffs = self.basis.T @ B
+        coeffs = self.basis.T @ _rows(B, self.dim)
         inv_sq = self.values**2
         if coeffs.ndim == 1:
             return self.basis @ (coeffs / inv_sq)
@@ -106,6 +106,78 @@ def build_variation_operator(
             spectrum, or the operator is numerically singular.
     """
     values = np.asarray(response(spectrum.eigenvalues), dtype=float)
+    _check_response_values(values)
+    return VariationOperator(values=values, basis=spectrum.eigenvectors)
+
+
+@dataclass(frozen=True, eq=False)
+class SparseVariationOperator:
+    """Variation operator ``F = slope * L + offset * I`` of an affine response,
+    kept as the sparse LU factors of F.
+
+    F is symmetric, so ``(F.T @ F)^-1 B`` is two solves with F. Neither a
+    dense n x n array nor a spectrum is needed.
+    """
+
+    factor: SuperLU
+
+    @property
+    def dim(self) -> int:
+        return self.factor.shape[0]
+
+    def solve_gram(self, B: np.ndarray) -> np.ndarray:
+        """Solve ``(F.T @ F) X = B`` as ``F^-1 (F^-1 B)``."""
+        return self.factor.solve(self.factor.solve(_rows(B, self.dim)))
+
+
+def build_sparse_variation_operator(
+    lap: csc_matrix, response: SpectralResponse
+) -> SparseVariationOperator:
+    """Factor ``F = slope * L + offset * I`` for a connected graph's sparse Laplacian.
+
+    Makes the checks of ``build_variation_operator`` without a spectrum:
+    the response is affine, so its extremes over the spectrum are at
+    λ_min = 0 (the graph is connected) and at λ_max, which ARPACK finds
+    from a fixed start.
+
+    Raises:
+        ValueError: if the response is not strictly positive on the
+            spectrum, or the operator is numerically singular.
+    """
+    n = lap.shape[0]
+    _check_response_values(
+        np.asarray(response(np.array([0.0, _largest_eigenvalue(lap)])), dtype=float)
+    )
+    F = response.slope * lap + response.offset * identity(n, format="csc")
+    # the checks make F symmetric positive definite, so its LU needs no row
+    # pivoting and takes a symmetric fill-reducing order (half COLAMD's fill)
+    factor = splu(
+        F.tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    return SparseVariationOperator(factor)
+
+
+def _largest_eigenvalue(lap: csc_matrix) -> float:
+    """λ_max of a symmetric sparse matrix, by ARPACK from a fixed start vector.
+
+    ARPACK's default start is random, and the constant vector is a
+    Laplacian's null vector, so the start is a fixed Gaussian draw. A
+    1 x 1 matrix (an edgeless 1-vertex graph), where ARPACK cannot run,
+    is its own eigenvalue.
+    """
+    n = lap.shape[0]
+    if n == 1:
+        return float(lap.diagonal()[0])
+    v0 = np.random.default_rng(0).standard_normal(n)
+    return float(eigsh(lap, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
+
+
+def _check_response_values(values: np.ndarray) -> None:
+    """Reject response values, taken over a spectrum, that are not finite and
+    positive or that make the operator numerically singular."""
     if values.ndim != 1 or not np.all(np.isfinite(values)):
         raise ValueError("spectral response must evaluate to finite scalars")
     if np.any(values <= 0.0):
@@ -115,4 +187,11 @@ def build_variation_operator(
         )
     if values.min() <= 1e-12 * values.max():
         raise ValueError("variation operator is numerically singular")
-    return VariationOperator(values=values, basis=spectrum.eigenvectors)
+
+
+def _rows(B, dim: int) -> np.ndarray:
+    """``B`` as a float array, checked to have ``dim`` rows."""
+    B = np.asarray(B, dtype=float)
+    if B.shape[0] != dim:
+        raise ValueError(f"expected {dim} rows, got shape {B.shape}")
+    return B

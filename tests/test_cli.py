@@ -14,12 +14,19 @@ import graphsamp
 from graphsamp import (
     DesignConfig,
     ExperimentConfig,
+    Graph,
     SpectralResponse,
+    build_variation_operator,
+    eigendecompose,
+    kkt_reconstruct,
+    laplacian,
     load_graph,
     load_matrix,
     load_signal,
     random_sensor_graph,
+    sample,
     save_graph,
+    save_matrix,
     save_signal,
 )
 from graphsamp.cli import build_parser, main
@@ -165,6 +172,45 @@ class TestReconstructCommand:
         printed = capsys.readouterr().out
         assert printed.startswith("mse ")
         assert float(printed.split()[1]) >= 0.0
+
+    @pytest.mark.parametrize(
+        "n, edges, weights", [(1, [], []), (2, [(0, 1)], [0.5])], ids=["one_vertex", "two_vertices"]
+    )
+    def test_tiny_graph_matches_kkt(self, tmp_path, n, edges, weights):
+        """A 1-vertex graph has no edges, so ARPACK cannot give its λ_max;
+        both graphs reconstruct as the KKT system of the spectral operator."""
+        g = Graph(n, edges, weights)
+        rng = np.random.default_rng(n)
+        S = rng.standard_normal((n, 1)) + 2.0
+        x = rng.standard_normal(n)
+        for name, save, value in (("g", save_graph, g), ("S", save_matrix, S), ("x", save_signal, x)):
+            save(value, tmp_path / f"{name}.txt")
+        rc = main(
+            ["reconstruct", "--graph", str(tmp_path / "g.txt"), "--sampling", str(tmp_path / "S.txt"),
+             "--signal", str(tmp_path / "x.txt"), "--out-dir", str(tmp_path / "rec")]
+        )
+        assert rc == 0
+        vo = build_variation_operator(eigendecompose(laplacian(g)), SpectralResponse())
+        expected = kkt_reconstruct(vo, S, sample(S, x))
+        np.testing.assert_allclose(load_signal(tmp_path / "rec" / "x_hat.txt"), expected, rtol=1e-12)
+
+    def test_reconstruct_never_eigendecomposes(self, tmp_path, graph_file, monkeypatch):
+        """reconstruct factors the sparse ``slope * L + offset * I``: it builds
+        no dense Laplacian and no spectrum."""
+        g, gpath = graph_file
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reconstruct needs no dense Laplacian or spectrum")
+
+        monkeypatch.setattr(graphsamp.cli, "eigendecompose", refuse)
+        monkeypatch.setattr(graphsamp.cli, "laplacian", refuse)
+        save_matrix(np.random.default_rng(0).standard_normal((24, 6)), tmp_path / "S.txt")
+        save_signal(np.random.default_rng(1).standard_normal(24), tmp_path / "x.txt")
+        rc = main(
+            ["reconstruct", "--graph", str(gpath), "--sampling", str(tmp_path / "S.txt"),
+             "--signal", str(tmp_path / "x.txt"), "--out-dir", str(tmp_path / "rec")]
+        )
+        assert rc == 0
 
     def test_nan_signal_file_fails(self, tmp_path, graph_file, capsys):
         g, gpath = graph_file

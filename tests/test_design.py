@@ -408,6 +408,21 @@ class TestGramPolarFactor:
         assert s[0] / s[-1] > 20.0
         self._assert_matches_svd(M)
 
+    @pytest.mark.parametrize("cond", [1e2, 1e3, 5e3, 9.9e3])
+    def test_prescribed_condition_within_gram_error_bound(self, cond):
+        """Up to cond 1e4 the Gram route is taken, and its polar factor is
+        within ``cond(M)^2 * eps`` of the SVD's: the Gram matrix squares the
+        condition number. 64 x 8 matrices with singular values spread
+        geometrically from 1 down to ``1 / cond``."""
+        assert cond**2 < design_module.GRAM_COND_LIMIT
+        rng = np.random.default_rng(int(cond))
+        U, _ = np.linalg.qr(rng.standard_normal((64, 8)))
+        V, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        M = (U * np.geomspace(1.0, 1.0 / cond, 8)) @ V.T
+        G, _ = _polar_factor(M)
+        G_ref, _ = _svd_polar_factor(M)
+        assert np.max(np.abs(G - G_ref)) <= cond**2 * np.finfo(float).eps
+
     def test_empty_matrix_rejected(self):
         """No columns means no Gram eigenvalues; the SVD branch refuses it."""
         with pytest.raises(ValueError, match="zero matrix"):

@@ -1,4 +1,5 @@
-"""Variation operator assembly, whitening factor, and their identities."""
+"""Variation operator assembly, whitening factor, their identities, and the
+sparse operator against the spectral one."""
 
 import tracemalloc
 
@@ -7,13 +8,20 @@ import pytest
 from helpers import dense_operator, dense_whitener
 
 from graphsamp import (
+    Graph,
     SpectralResponse,
+    build_pipeline,
     build_variation_operator,
     eigendecompose,
     laplacian,
     random_sensor_graph,
+    save_graph,
+    save_matrix,
+    save_signal,
 )
-from graphsamp.variation import Whitener
+from graphsamp.cli import main
+from graphsamp.graphs import sparse_laplacian
+from graphsamp.variation import Whitener, _largest_eigenvalue, build_sparse_variation_operator
 
 
 def _sensor_operator(n, seed, slope=1.0, offset=0.1):
@@ -206,6 +214,102 @@ class TestSharedBasis:
         tracemalloc.start()
         try:
             build_variation_operator(spectrum, SpectralResponse())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
+
+
+class TestSparseLaplacian:
+    @pytest.mark.parametrize("n", [2, 24, 256])
+    def test_matches_dense_laplacian(self, n):
+        g = random_sensor_graph(n, min(6, n - 1), seed=n)
+        lap = sparse_laplacian(g)
+        assert lap.format == "csc"
+        np.testing.assert_allclose(lap.toarray(), laplacian(g), rtol=0, atol=1e-14)
+        assert (lap - lap.T).count_nonzero() == 0
+
+
+class TestSparseVariationOperator:
+    @pytest.mark.parametrize("n", [24, 256, 1024])
+    @pytest.mark.parametrize("slope, offset", [(1.0, 0.1), (-0.01, 10.0), (1.0, 1e-6)])
+    def test_solve_gram_matches_spectral(self, n, slope, offset):
+        """The two sparse solves agree with the spectral solve. At offset 1e-6
+        cond(F) is about 1e7; the measured gap follows cond(F) * eps (1.8e-9
+        at n=1024), well inside the cond(F)^2 * eps bound of a Gram solve, so
+        the tolerance is 10 cond(F) eps there and 1e-12 elsewhere."""
+        g = random_sensor_graph(n, 6, seed=n)
+        response = SpectralResponse(slope, offset)
+        vo = build_variation_operator(eigendecompose(laplacian(g)), response)
+        sparse = build_sparse_variation_operator(sparse_laplacian(g), response)
+        assert sparse.dim == n
+        B = np.random.default_rng(n).standard_normal((n, 8))
+        expected = vo.solve_gram(B)
+        gap = np.linalg.norm(sparse.solve_gram(B) - expected) / np.linalg.norm(expected)
+        cond = vo.values.max() / vo.values.min()
+        assert gap <= max(1e-12, 10.0 * cond * np.finfo(float).eps)
+
+    def test_solve_gram_vector_and_dimension_mismatch(self):
+        g = random_sensor_graph(16, 6, seed=4)
+        sparse = build_sparse_variation_operator(sparse_laplacian(g), SpectralResponse())
+        vo = build_variation_operator(eigendecompose(laplacian(g)), SpectralResponse())
+        b = np.arange(16.0)
+        np.testing.assert_allclose(sparse.solve_gram(b), vo.solve_gram(b), rtol=1e-12)
+        with pytest.raises(ValueError, match="rows"):
+            sparse.solve_gram(np.zeros((17, 2)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 24, 256])
+    def test_largest_eigenvalue_matches_eigh(self, n):
+        """ARPACK's λ_max from the fixed start; a 1 x 1 matrix is its own."""
+        g = random_sensor_graph(n, min(6, n - 1), seed=n) if n > 1 else Graph(1, [], [])
+        expected = eigendecompose(laplacian(g)).eigenvalues[-1]
+        assert abs(_largest_eigenvalue(sparse_laplacian(g)) - expected) <= 1e-12 * max(1.0, expected)
+
+    @pytest.mark.parametrize(
+        "slope, offset, message",
+        [
+            (1.0, 0.0, "positive on the whole spectrum"),
+            (-1.0, 0.1, "positive on the whole spectrum"),  # F indefinite; LU would factor it
+            (1.0, 1e-13, "numerically singular"),
+        ],
+    )
+    @pytest.mark.parametrize("route", ["spectral", "sparse", "reconstruct"])
+    def test_same_rejection_on_every_route(self, route, slope, offset, message, tmp_path, capsys):
+        """The spectral builder, the sparse builder and ``graphsamp
+        reconstruct`` reject each response with the same message. The path
+        graph on two vertices has spectrum {0, 2} exactly."""
+        g = Graph(2, [(0, 1)], [1.0])
+        response = SpectralResponse(slope, offset)
+        if route == "spectral":
+            with pytest.raises(ValueError, match=message):
+                build_variation_operator(eigendecompose(laplacian(g)), response)
+        elif route == "sparse":
+            with pytest.raises(ValueError, match=message):
+                build_sparse_variation_operator(sparse_laplacian(g), response)
+        else:
+            save_graph(g, tmp_path / "g.txt")
+            save_matrix(np.array([[1.0], [0.5]]), tmp_path / "S.txt")
+            save_signal(np.array([0.3, -0.2]), tmp_path / "x.txt")
+            rc = main(
+                ["reconstruct", "--graph", str(tmp_path / "g.txt"),
+                 "--sampling", str(tmp_path / "S.txt"), "--signal", str(tmp_path / "x.txt"),
+                 "--out-dir", str(tmp_path / "out"),
+                 f"--response-slope={slope}", f"--response-offset={offset}"]
+            )
+            assert rc == 1
+            assert message in capsys.readouterr().err
+
+    def test_build_and_pipeline_allocate_no_square_array(self):
+        """Laplacian, factor and pipeline at n=1024, K=128 peak below one n x n
+        float array (2.1 MB measured). SuperLU allocates its factors in C,
+        outside tracemalloc's view; they hold about 20 000 entries here."""
+        n = 1024
+        g = random_sensor_graph(n, 6, seed=0)
+        S = np.random.default_rng(0).standard_normal((n, 128))
+        tracemalloc.start()
+        try:
+            sparse = build_sparse_variation_operator(sparse_laplacian(g), SpectralResponse())
+            build_pipeline(sparse, S)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
