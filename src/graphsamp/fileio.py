@@ -11,10 +11,18 @@ Formats are line oriented and diffable:
 Floats are written with ``repr`` so every file round-trips exactly. A
 loader reports every malformed or non-finite value with an error that
 names the file.
+
+A matrix body is parsed in one C pass, ``np.fromstring(body, sep=" ")``,
+which makes no Python object per entry. Where that pass stops at text it
+cannot read, finds the wrong entry count or reads a non-finite value,
+the body is read again with one ``float()`` per token, which accepts what
+``float()`` accepts (``1_0``) and raises the same error, naming the count,
+the token or the non-finite value.
 """
 
 from __future__ import annotations
 
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -102,19 +110,49 @@ def save_matrix(matrix: np.ndarray, path) -> None:
 
 def load_matrix(path) -> np.ndarray:
     with _naming(path):
-        text = Path(path).read_text().split()
-        if len(text) < 2:
+        parts = Path(path).read_text().split(None, 2)
+        if len(parts) < 2:
             raise ValueError("expected '<rows> <cols>' header")
-        rows, cols = int(text[0]), int(text[1])
+        rows, cols = int(parts[0]), int(parts[1])
         if rows < 0 or cols < 0:
-            raise ValueError(f"header '{text[0]} {text[1]}' has a negative dimension")
-        body = text[2:]
-        if len(body) != rows * cols:
-            raise ValueError(
-                f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
-                f"found {len(body)}"
-            )
-        return _finite(np.array([float(tok) for tok in body]).reshape(rows, cols))
+            raise ValueError(f"header '{parts[0]} {parts[1]}' has a negative dimension")
+        # split() leaves no whitespace-only body: it is absent or starts with a token
+        body = parts[2] if len(parts) == 3 else ""
+        values = _parse_floats(body)
+        if values is None or values.size != rows * cols or not np.all(np.isfinite(values)):
+            values = _parse_tokens(body, rows, cols)
+        return values.reshape(rows, cols)
+
+
+def _parse_floats(body: str) -> np.ndarray | None:
+    """The whitespace-separated decimals of ``body`` in one C pass, or None
+    where it stops at text it cannot read.
+
+    numpy 2 raises ValueError there; older numpy warns with a
+    DeprecationWarning and returns the values before it.
+    """
+    if not body:
+        # not np.fromstring's to read: it reads some blank strings as [-1.]
+        return np.empty(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.fromstring(body, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+
+
+def _parse_tokens(body: str, rows: int, cols: int) -> np.ndarray:
+    """``body`` read token by token with ``float()``, which also takes what
+    numpy does not (``1_0``); its errors name the entry count, the first bad
+    token or a non-finite value."""
+    tokens = body.split()
+    if len(tokens) != rows * cols:
+        raise ValueError(
+            f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
+            f"found {len(tokens)}"
+        )
+    return _finite(np.array([float(tok) for tok in tokens]))
 
 
 def save_signal(x: np.ndarray, path) -> None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
+import math
 from pathlib import Path
 
 import numpy as np
@@ -19,18 +19,6 @@ _MID = (247, 247, 247)
 _HIGH = (180, 4, 38)
 
 
-def _blend(c0, c1, t):
-    return tuple(int(round(a + (b - a) * t)) for a, b in zip(c0, c1))
-
-
-def _diverging_color(t: float) -> str:
-    if t <= 0.5:
-        r, g, b = _blend(_LOW, _MID, 2.0 * t)
-    else:
-        r, g, b = _blend(_MID, _HIGH, 2.0 * t - 1.0)
-    return f"#{r:02x}{g:02x}{b:02x}"
-
-
 def render_signal_svg(graph: Graph, values: np.ndarray, path) -> None:
     """Write an SVG with vertices coloured by signal value.
 
@@ -38,12 +26,14 @@ def render_signal_svg(graph: Graph, values: np.ndarray, path) -> None:
     [min(values), max(values)]; a constant signal maps every vertex to
     the white midpoint. Edges render as grey lines beneath the vertex
     circles, with graph coordinates scaled into the canvas and the
-    y-axis flipped to SVG conventions.
+    y-axis flipped to SVG conventions. The text is joined from strings,
+    one element per edge and per vertex, in the layout
+    ``xml.etree.ElementTree`` writes with an XML declaration.
 
     Raises:
         ValueError: if the graph has no coordinates, or the signal's
-            length does not match the vertex count or it has a
-            non-finite value.
+            length does not match the vertex count, it has a non-finite
+            value or its range overflows.
     """
     if graph.coordinates is None:
         raise ValueError("graph has no coordinates to render")
@@ -56,29 +46,41 @@ def render_signal_svg(graph: Graph, values: np.ndarray, path) -> None:
         raise ValueError("signal has a non-finite value (nan or inf)")
     lo, hi = float(x.min()), float(x.max())
     span = hi - lo
+    if span == math.inf:
+        raise ValueError(f"signal range [{lo:g}, {hi:g}] is wider than a float holds")
     pos = _MARGIN + np.asarray(graph.coordinates) * (_CANVAS - 2.0 * _MARGIN)
     pos[:, 1] = _CANVAS - pos[:, 1]
+    xy = [f"{c:.2f}" for c in pos.ravel().tolist()]
+    xs, ys = xy[0::2], xy[1::2]
+    lines = [
+        f'<line x1="{xs[u]}" y1="{ys[u]}" x2="{xs[v]}" y2="{ys[v]}" />'
+        for u, v in graph.edges.tolist()
+    ]
     size = str(int(_CANVAS))
-    svg = ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "width": size,
-            "height": size,
-            "viewBox": f"0 0 {size} {size}",
-        },
+    edge_group = '<g stroke="#999999" stroke-width="1"'
+    parts = [
+        "<?xml version='1.0' encoding='UTF-8'?>\n",
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">',
+        f"{edge_group}>{''.join(lines)}</g>" if lines else f"{edge_group} />",
+        '<g stroke="#333333" stroke-width="0.5">',
+    ]
+    radius = str(_VERTEX_RADIUS)
+    parts += [
+        f'<circle cx="{a}" cy="{b}" r="{radius}" fill="{fill}" />'
+        for a, b, fill in zip(xs, ys, _diverging_colors(x, lo, span))
+    ]
+    parts.append("</g></svg>")
+    Path(path).write_text("".join(parts), encoding="utf-8")
+
+
+def _diverging_colors(x: np.ndarray, lo: float, span: float) -> list[str]:
+    """``#rrggbb`` of each value on the ramp: ``low + (mid - low) * 2t`` up to
+    the midpoint t = 1/2, ``mid + (high - mid) * (2t - 1)`` above it, each
+    channel rounded half to even."""
+    t = (np.full(x.shape, 0.5) if span == 0.0 else (x - lo) / span)[:, None]
+    low, mid, high = (np.array(c, dtype=float) for c in (_LOW, _MID, _HIGH))
+    rgb = np.where(
+        t <= 0.5, low + (mid - low) * (2.0 * t), mid + (high - mid) * (2.0 * t - 1.0)
     )
-    edge_group = ET.SubElement(svg, "g", {"stroke": "#999999", "stroke-width": "1"})
-    for u, v in graph.edges.tolist():
-        ET.SubElement(
-            edge_group, "line", x1=f"{pos[u, 0]:.2f}", y1=f"{pos[u, 1]:.2f}",
-            x2=f"{pos[v, 0]:.2f}", y2=f"{pos[v, 1]:.2f}",
-        )
-    vertex_group = ET.SubElement(svg, "g", {"stroke": "#333333", "stroke-width": "0.5"})
-    for i in range(graph.num_vertices):
-        t = 0.5 if span == 0.0 else (x[i] - lo) / span
-        ET.SubElement(
-            vertex_group, "circle", cx=f"{pos[i, 0]:.2f}", cy=f"{pos[i, 1]:.2f}",
-            r=str(_VERTEX_RADIUS), fill=_diverging_color(t),
-        )
-    ET.ElementTree(svg).write(str(Path(path)), encoding="UTF-8", xml_declaration=True)
+    return [f"#{r:02x}{g:02x}{b:02x}" for r, g, b in np.rint(rgb).astype(int).tolist()]

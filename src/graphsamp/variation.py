@@ -101,12 +101,18 @@ def build_variation_operator(
     without a copy. The response must be strictly positive on every
     eigenvalue, which makes the operator symmetric positive definite.
 
+    The spectrum is a connected graph's Laplacian's, so the affine
+    response's extremes over it are at λ = 0 and the largest eigenvalue.
+    The checks are made there, as ``build_sparse_variation_operator``
+    makes them, and not on ``eigh``'s smallest eigenvalue, which is 0
+    only to rounding and of either sign.
+
     Raises:
         ValueError: if the response is not strictly positive on the
             spectrum, or the operator is numerically singular.
     """
+    _check_response(response, float(spectrum.eigenvalues.max()))
     values = np.asarray(response(spectrum.eigenvalues), dtype=float)
-    _check_response_values(values)
     return VariationOperator(values=values, basis=spectrum.eigenvectors)
 
 
@@ -145,9 +151,7 @@ def build_sparse_variation_operator(
             spectrum, or the operator is numerically singular.
     """
     n = lap.shape[0]
-    _check_response_values(
-        np.asarray(response(np.array([0.0, _largest_eigenvalue(lap)])), dtype=float)
-    )
+    _check_response(response, _largest_eigenvalue(lap))
     F = response.slope * lap + response.offset * identity(n, format="csc")
     # the checks make F symmetric positive definite, so its LU needs no row
     # pivoting and takes a symmetric fill-reducing order (half COLAMD's fill)
@@ -175,9 +179,11 @@ def _largest_eigenvalue(lap: csc_matrix) -> float:
     return float(eigsh(lap, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
 
 
-def _check_response_values(values: np.ndarray) -> None:
-    """Reject response values, taken over a spectrum, that are not finite and
-    positive or that make the operator numerically singular."""
+def _check_response(response: SpectralResponse, lam_max: float) -> None:
+    """Reject an affine response that, over a connected graph's Laplacian
+    spectrum [0, lam_max], is not finite and positive or makes the operator
+    numerically singular."""
+    values = np.asarray(response(np.array([0.0, lam_max])), dtype=float)
     if values.ndim != 1 or not np.all(np.isfinite(values)):
         raise ValueError("spectral response must evaluate to finite scalars")
     if np.any(values <= 0.0):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from helpers import reference_load_matrix
 
 from graphsamp import (
     Graph,
@@ -263,6 +264,93 @@ class TestRoundTripProperties:
             assert loaded.coordinates is None
         else:
             assert _same_bits(loaded.coordinates, g.coordinates)
+
+
+# tokens float() reads or rejects differently from numpy's C parser, or not
+# at all, and whitespace that str.split() splits on but C's isspace() does not
+_ODD_TOKENS = ["abc", "1_0", "1.0-2.0", "0x1p3", "nan", "inf", "-inf", "infinity",
+               "nan(12)", "1e500", "1e-400", "-0.0", ".", "1e", "+.5"]
+_SEPARATORS = [" ", "\n", "\t", "  ", "\r\n", "\x0b", "\x0c", "\xa0", "\x1c", " \n "]
+
+
+@st.composite
+def _matrix_texts(draw):
+    """Matrix files: small or negative headers (``0 k`` among them), bodies
+    of repr floats mixed with odd tokens, entry counts right or wrong, and
+    bodies of whitespace only."""
+    rows = draw(st.integers(-1, 3))
+    cols = draw(st.integers(-1, 3))
+    header = f"{rows} {cols}"
+    if draw(st.booleans()):
+        count = max(rows, 0) * max(cols, 0)
+    else:
+        count = draw(st.integers(0, 10))
+    token = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    if draw(st.booleans()):
+        token = token | st.sampled_from(_ODD_TOKENS)
+    tokens = draw(st.lists(token, min_size=count, max_size=count))
+    seps = draw(st.lists(st.sampled_from(_SEPARATORS), min_size=count + 2, max_size=count + 2))
+    body = "".join(sep + tok for sep, tok in zip(seps, tokens)) + seps[-1]
+    return header + seps[-2] + body
+
+
+class TestMatrixAgainstTokenLoop:
+    """``load_matrix`` returns the bits, or raises the message, of one
+    ``float()`` per token."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_matrix_texts())
+    def test_same_result(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("m") / "m.txt"
+        path.write_text(text)
+        try:
+            expected = reference_load_matrix(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                load_matrix(path)
+            assert str(raised.value) == str(exc)
+        else:
+            assert _same_bits(load_matrix(path), expected)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 0\n  \n\t", None),
+            ("1 1\n \n", "expected 1 entries for a 1x1 matrix, found 0"),
+            ("1 2\n1_0 2.5\n", None),
+            ("1 2\n1.0 nan(12)\n", "could not convert string to float: 'nan(12)'"),
+            ("1 2\n1.0 1e500\n", "non-finite value (nan or inf)"),
+        ],
+        ids=["whitespace-body", "whitespace-short", "underscore", "nan-payload", "overflow"],
+    )
+    def test_pinned_cases(self, tmp_path, text, message):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        if message is None:
+            assert _same_bits(load_matrix(path), reference_load_matrix(path))
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+                load_matrix(path)
+
+    def test_old_numpy_warning_names_the_token(self, tmp_path, monkeypatch):
+        """numpy before 2 warns and returns the values before a bad token;
+        the error still names the token, whatever the caller's filters."""
+
+        def truncating_fromstring(text, sep):
+            warnings.warn(
+                "string or file could not be read to its end due to unmatched data",
+                DeprecationWarning,
+            )
+            return np.array([1.0, 2.0])
+
+        monkeypatch.setattr(np, "fromstring", truncating_fromstring)
+        path = tmp_path / "m.txt"
+        path.write_text("2 2\n1.0 2.0\nabc 4.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError) as raised:
+                load_matrix(path)
+        assert str(raised.value) == f"{path}: could not convert string to float: 'abc'"
 
 
 class TestTraceCsv:

@@ -299,6 +299,18 @@ class TestSparseVariationOperator:
             assert rc == 1
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [0, 1])  # eigh's λ_0: +1.4e-15, -7.0e-17
+    def test_zero_offset_named_whatever_the_sign_of_lambda_0(self, seed):
+        """A zero offset is rejected at λ = 0 itself, not at the rounded λ_0
+        that ``eigh`` returns, so both builders name it alike on both seeds."""
+        g = random_sensor_graph(24, 6, seed)
+        response = SpectralResponse(1.0, 0.0)
+        message = r"^spectral response must be positive on the whole spectrum \(min value 0\)$"
+        with pytest.raises(ValueError, match=message):
+            build_variation_operator(eigendecompose(laplacian(g)), response)
+        with pytest.raises(ValueError, match=message):
+            build_sparse_variation_operator(sparse_laplacian(g), response)
+
     def test_build_and_pipeline_allocate_no_square_array(self):
         """Laplacian, factor and pipeline at n=1024, K=128 peak below one n x n
         float array (2.1 MB measured). SuperLU allocates its factors in C,
