@@ -23,7 +23,7 @@ from .design import DesignConfig, design_sampling_operator
 from .fileio import _fmt
 from .graphs import eigendecompose, laplacian, random_sensor_graph
 from .reconstruct import build_pipeline, sample
-from .seeds import _integer, _seed, mix_seed
+from .seeds import _integer, _naming, _sample_count, _seed, mix_seed
 from .signals import SignalModelSpec, generate_signal
 from .variation import SpectralResponse, build_variation_operator
 
@@ -72,10 +72,7 @@ class ExperimentConfig:
         _seed("master_seed", self.master_seed)
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
-        if not 1 <= self.num_samples < self.n:
-            raise ValueError(
-                f"num_samples must satisfy 1 <= K < n, got K={self.num_samples}, n={self.n}"
-            )
+        _sample_count(self.num_samples, self.n)
         if not 1 <= self.graph_k < self.n:
             raise ValueError(f"graph_k must satisfy 1 <= k < n, got {self.graph_k}")
         if self.trials < 1:
@@ -325,13 +322,6 @@ _CONFIG_PARSERS = {
 }
 
 
-def _parse_value(key: str, parse, text: str):
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise ValueError(f"config key {key}: {exc}") from exc
-
-
 def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     """Build an ExperimentConfig from flat string key-value pairs."""
     unknown = sorted(set(raw) - set(_CONFIG_PARSERS))
@@ -343,15 +333,16 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     parsed: dict[str, dict] = {"": {}, "response": {}, "model": {}, "design": {}}
     for key, text in raw.items():
         section, _, name = key.rpartition(".")
-        parsed[section][name] = _parse_value(key, _CONFIG_PARSERS[key], text)
+        with _naming(f"config key {key}"):
+            parsed[section][name] = _CONFIG_PARSERS[key](text)
     top, design = parsed[""], parsed["design"]
     n, num_samples = top.pop("n"), top.pop("k")
     epsilon = design.get("epsilon", "auto")
-    design["epsilon"] = (
-        default_radius(n, num_samples)
-        if epsilon == "auto"
-        else _parse_value("design.epsilon", float, epsilon)
-    )
+    if epsilon == "auto":
+        design["epsilon"] = default_radius(n, num_samples)
+    else:
+        with _naming("config key design.epsilon"):
+            design["epsilon"] = float(epsilon)
     return ExperimentConfig(
         n=n,
         num_samples=num_samples,

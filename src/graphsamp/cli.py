@@ -20,7 +20,7 @@ from .fileio import (
 from .graphs import eigendecompose, laplacian, random_sensor_graph, sparse_laplacian
 from .reconstruct import build_pipeline, sample
 from .render import render_signal_svg
-from .seeds import _seed
+from .seeds import _naming, _neighbour_count, _sample_count, _seed, _vertex_count
 from .variation import SpectralResponse, build_sparse_variation_operator, build_variation_operator
 
 
@@ -41,36 +41,36 @@ def _add_response(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--response-offset", type=float, default=SpectralResponse.offset)
 
 
-def _flag(name: str, parse, *values):
-    """``parse(*values)``, with any ValueError it raises prefixed by the flag ``name``."""
-    try:
-        return parse(*values)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from exc
-
-
 def _obtain_graph(args):
     if args.graph is not None:
         return load_graph(args.graph), False
     if args.n is None:
         raise ValueError("pass either --graph or --n to generate a sensor graph")
-    seed = _flag("--graph-seed", _seed, "seed", args.graph_seed)
-    return random_sensor_graph(args.n, args.graph_k, seed), True
+    with _naming("--graph-seed"):
+        seed = _seed("seed", args.graph_seed)
+    with _naming("--n"):
+        n = _vertex_count(args.n)
+    with _naming("--graph-k"):
+        k = _neighbour_count(args.graph_k, n)
+    return random_sensor_graph(n, k, seed), True
 
 
 def _cmd_design(args) -> int:
-    seed = _flag("--seed", _seed, "seed", args.seed)
+    with _naming("--seed"):
+        seed = _seed("seed", args.seed)
     graph, generated = _obtain_graph(args)
+    with _naming("--k"):
+        k = _sample_count(args.k, graph.num_vertices)
     spectrum = eigendecompose(laplacian(graph))
     response = SpectralResponse(args.response_slope, args.response_offset)
     vo = build_variation_operator(spectrum, response)
-    epsilon = (
-        default_radius(graph.num_vertices, args.k)
-        if args.epsilon == "auto"
-        else _flag("--epsilon", float, args.epsilon)
-    )
+    if args.epsilon == "auto":
+        epsilon = default_radius(graph.num_vertices, k)
+    else:
+        with _naming("--epsilon"):
+            epsilon = float(args.epsilon)
     config = DesignConfig(epsilon=epsilon, max_iter=args.max_iter, seed=seed)
-    design = design_sampling_operator(vo.whitener, args.k, config)
+    design = design_sampling_operator(vo.whitener, k, config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_matrix(design.matrix, out / "S.txt")
@@ -78,7 +78,7 @@ def _cmd_design(args) -> int:
     if generated:
         save_graph(graph, out / "graph.txt")
     print(
-        f"designed a {graph.num_vertices}x{args.k} sampling matrix in "
+        f"designed a {graph.num_vertices}x{k} sampling matrix in "
         f"{design.iterations} iterations (converged={design.converged}); "
         f"wrote {out / 'S.txt'} and {out / 'trace.csv'}"
     )

@@ -11,11 +11,13 @@ never decreases along the loop, iterates stay in the ball, and the step
 sizes vanish, so the iteration settles at a critical point of the
 relaxation.
 
-The loop runs in spectral coordinates. The whitener arrives as its
-factors, ``A = diag(d) Q.T`` with Q orthogonal (a ``Whitener``). Q drops
-out of the loop, because the Frobenius ball is invariant under rotation.
-So the loop iterates on ``T = Q.T @ S``, where whitening is a row scaling
-by d, and rotates back once at the end.
+The loop runs in spectral coordinates. The whitener is ``A = F^-1 =
+Q diag(d) Q.T``, held as its factors (a ``VariationOperator``). The left
+Q drops out, because the nuclear norm ignores a left rotation and the
+polar factor turns with it, and the right Q too, because the Frobenius
+ball is invariant under rotation. So the loop iterates on
+``T = Q.T @ S``, where whitening is a row scaling by d, and rotates back
+once at the end.
 
 Only the rows of T for the ``m = min(n, ROWS_PER_SAMPLE * K)`` largest
 scales take part. The optimum ``Q_K diag(epsilon d_K / ||d_K||)`` lies in
@@ -45,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeds import _integer, _seed
-from .variation import Whitener
+from .seeds import _integer, _sample_count, _seed
+from .variation import VariationOperator
 
 # relative step size ||T_next - T||_F / ||T||_F below which the loop stops
 STOP_TOL = 1e-5
@@ -151,21 +153,21 @@ def _polar_factor(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def design_sampling_operator(
-    whitener: Whitener, num_samples: int, config: DesignConfig
+    whitener: VariationOperator, num_samples: int, config: DesignConfig
 ) -> SamplingDesign:
     """Design a dense sampling matrix maximizing the whitened nuclear norm.
 
     Starts from a standard-Gaussian matrix S (seeded by ``config.seed``)
     projected into the Frobenius ball of radius ``config.epsilon``.
-    With the whitener ``A = diag(d) Q.T`` (``whitener.scales`` and
+    With the whitener ``A = Q diag(d) Q.T`` (``whitener.values`` and
     ``whitener.basis``), keeps the m = min(n, ROWS_PER_SAMPLE * K)
     columns Q_m of Q with the largest scales (ties to the lowest index;
     all of Q when m = n), iterates on ``T = Q_m.T @ S`` and repeats:
-    take the polar factor G of ``d * T``, which is the
-    nuclear-norm subgradient at ``A @ S``, move along ``gamma * d * G``
+    take the polar factor G of ``d * T``, whose rotation ``Q_m @ G`` is
+    the nuclear-norm subgradient at ``A @ S``, move along ``gamma * d * G``
     with ``gamma = STEP_SCALE * epsilon / max(d)``, and project back onto
-    the ball. This is the step ``S + gamma * A.T @ G`` written in the
-    rotated coordinates, and the trace's norms are the same in either.
+    the ball. This is the step ``S + gamma * A.T @ Q_m @ G`` written in
+    the rotated coordinates, and the trace's norms are the same in either.
     Stops when
     ``||T_next - T||_F <= STOP_TOL * ||T||_F`` or after ``max_iter``
     iterations (reported via ``converged``), and returns ``S = Q_m @ T``.
@@ -174,13 +176,9 @@ def design_sampling_operator(
         ValueError: on a non-integer or out-of-range sample count, or a
             zero whitened iterate (propagated from the subgradient).
     """
-    scales, Q = whitener.scales, whitener.basis
+    scales, Q = whitener.values, whitener.basis
     n = Q.shape[0]
-    num_samples = _integer("num_samples", num_samples)
-    if not 1 <= num_samples < n:
-        raise ValueError(
-            f"num_samples must satisfy 1 <= K < {n}, got {num_samples}"
-        )
+    num_samples = _sample_count(num_samples, n)
     m = min(n, ROWS_PER_SAMPLE * num_samples)
     if m < n:
         keep = np.sort(np.argsort(-scales, kind="stable")[:m])

@@ -23,26 +23,17 @@ the token or the non-finite value.
 from __future__ import annotations
 
 import warnings
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .design import SamplingDesign
 from .graphs import Graph
+from .seeds import _naming
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
-
-
-@contextmanager
-def _naming(path):
-    """Re-raise a ValueError or OverflowError raised inside as a ValueError naming ``path``."""
-    try:
-        yield
-    except (ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _finite(values: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .seeds import _UINT64_MASK, _integer, _seed
+from .seeds import _UINT64_MASK, _integer, _neighbour_count, _seed, _vertex_count
 
 MAX_PLACEMENT_ATTEMPTS = 50
 
@@ -68,7 +68,8 @@ class Graph:
             if not np.all(np.isfinite(coords)):
                 raise ValueError("coordinates must be finite")
             object.__setattr__(self, "coordinates", coords)
-        if _component_count(n, self.edges) != 1:
+        # fewer than n - 1 edges cannot connect n vertices: refused before any n-sized array
+        if len(self.edges) < n - 1 or _component_count(n, self.edges) != 1:
             raise ValueError("graph is not connected")
 
 
@@ -142,11 +143,8 @@ def random_sensor_graph(n: int, k: int, seed: int) -> Graph:
         RuntimeError: if no connected placement is found, which signals
             pathological (n, k).
     """
-    n, k, seed = _integer("n", n), _integer("k", k), _seed("seed", seed)
-    if n < 2:
-        raise ValueError(f"need at least 2 vertices, got {n}")
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
+    n = _vertex_count(n)
+    k, seed = _neighbour_count(k, n), _seed("seed", seed)
     for attempt in range(MAX_PLACEMENT_ATTEMPTS):
         rng = np.random.default_rng((seed + attempt) & _UINT64_MASK)
         points = rng.random((n, 2))

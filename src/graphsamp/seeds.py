@@ -1,6 +1,8 @@
-"""The one rule for integer and seed arguments, and derived seed streams."""
+"""The one rule for integer, count and seed arguments, the one way to name a
+rejected value, and derived seed streams."""
 
 import operator
+from contextlib import contextmanager
 
 _UINT64_MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -20,6 +22,40 @@ def _seed(name: str, value) -> int:
     if not 0 <= seed <= _UINT64_MASK:
         raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
     return seed
+
+
+def _vertex_count(n) -> int:
+    """``n`` as an int of at least 2; a ValueError naming it otherwise."""
+    n = _integer("n", n)
+    if n < 2:
+        raise ValueError(f"need at least 2 vertices, got {n}")
+    return n
+
+
+def _neighbour_count(k, n: int) -> int:
+    """``k`` as an int with 1 <= k < n; a ValueError naming it otherwise."""
+    k = _integer("k", k)
+    if not 1 <= k < n:
+        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
+    return k
+
+
+def _sample_count(num_samples, n: int) -> int:
+    """``num_samples`` as an int K with 1 <= K < n; a ValueError naming it otherwise."""
+    num_samples = _integer("num_samples", num_samples)
+    if not 1 <= num_samples < n:
+        raise ValueError(f"num_samples must satisfy 1 <= K < {n}, got {num_samples}")
+    return num_samples
+
+
+@contextmanager
+def _naming(prefix):
+    """Re-raise a ValueError or OverflowError raised inside as a ValueError
+    prefixed by ``prefix``: the flag, config key or file that was bad."""
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{prefix}: {exc}") from exc
 
 
 def mix_seed(seed: int, index: int) -> int:

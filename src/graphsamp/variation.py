@@ -24,59 +24,44 @@ class SpectralResponse:
 
 
 @dataclass(frozen=True, eq=False)
-class Whitener:
-    """Whitening factor ``diag(scales) @ basis.T``, kept as its two factors.
-
-    ``basis`` is an orthogonal n x n matrix and ``scales`` n positive,
-    finite row scales, one per basis column; orthogonality is the
-    caller's contract, as it is for ``VariationOperator.basis``, and is
-    not re-checked.
-
-    Raises:
-        ValueError: on mismatched shapes, or a scale that is not
-            positive and finite (a zero scale is a zero whitener row).
-    """
-
-    scales: np.ndarray
-    basis: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = self.scales.size
-        if self.scales.shape != (n,) or self.basis.shape != (n, n):
-            raise ValueError(
-                f"whitener needs n scales and an n x n basis, got shapes "
-                f"{self.scales.shape} and {self.basis.shape}"
-            )
-        bad = np.flatnonzero(~(np.isfinite(self.scales) & (self.scales > 0.0)))
-        if bad.size:
-            raise ValueError(
-                f"whitener scale {bad[0]} must be positive and finite, "
-                f"got {self.scales[bad[0]]}"
-            )
-
-
-@dataclass(frozen=True, eq=False)
 class VariationOperator:
     """Invertible variation operator ``F = basis @ diag(values) @ basis.T``.
 
     ``basis`` is the spectrum's orthogonal eigenvector matrix itself,
     shared and in the spectrum's order, and ``values`` the positive
-    response on each of its columns. F is never formed: ``whitener`` is
-    the factored ``W = diag(1 / values) @ basis.T``, for which
-    ``W.T @ W == inv(F.T @ F)``, sharing the same ``basis`` array.
+    response on each of its columns. F is never formed. Orthogonality of
+    ``basis`` is the caller's contract and is not re-checked.
+
+    Raises:
+        ValueError: on mismatched shapes, or a value not positive and finite.
     """
 
     values: np.ndarray
     basis: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = self.values.size
+        if self.values.shape != (n,) or self.basis.shape != (n, n):
+            raise ValueError(
+                f"variation operator needs n values and an n x n basis, got shapes "
+                f"{self.values.shape} and {self.basis.shape}"
+            )
+        bad = np.flatnonzero(~(np.isfinite(self.values) & (self.values > 0.0)))
+        if bad.size:
+            raise ValueError(
+                f"variation operator value {bad[0]} must be positive and finite, "
+                f"got {self.values[bad[0]]}"
+            )
 
     @property
     def dim(self) -> int:
         return self.values.shape[0]
 
     @property
-    def whitener(self) -> Whitener:
-        """Whitening factor ``diag(1 / values) basis.T``, in factored form."""
-        return Whitener(1.0 / self.values, self.basis)
+    def whitener(self) -> VariationOperator:
+        """The inverse ``F^-1``, sharing ``basis``; F is symmetric, so
+        ``F^-1.T @ F^-1 == inv(F.T @ F)`` and F^-1 whitens the prior."""
+        return VariationOperator(1.0 / self.values, self.basis)
 
     def solve_gram(self, B: np.ndarray) -> np.ndarray:
         """Solve ``(F.T @ F) X = B`` through the spectral factors."""

@@ -1,6 +1,6 @@
 """Test-only oracles: nuclear norm, numerical rank, the nuclear-norm
-subgradient, the dense matrices of a factored variation operator and
-whitener, and the token-wise matrix loader and ``xml.etree`` renderer
+subgradient, the dense matrices of a factored variation operator and of
+a whitener, and the token-wise matrix loader and ``xml.etree`` renderer
 that the package's text paths must match byte for byte.
 
 The package reads none of these; the design loop takes the polar factor
@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from graphsamp.design import _polar_factor
-from graphsamp.fileio import _finite, _naming
+from graphsamp.fileio import _finite
 from graphsamp.render import _CANVAS, _HIGH, _LOW, _MARGIN, _MID, _VERTEX_RADIUS
+from graphsamp.seeds import _naming
 
 
 def nuclear_norm(M):
@@ -38,8 +39,10 @@ def nuclear_subgradient(M):
 
 
 def dense_whitener(whitener):
-    """The n x n matrix ``diag(scales) @ basis.T`` of a ``Whitener``."""
-    return whitener.scales[:, None] * whitener.basis.T
+    """The n x n matrix ``diag(values) @ basis.T`` of a whitener, such as
+    ``vo.whitener = F^-1 = U diag(1/r(λ)) U.T``; it is F^-1 rotated on the left
+    by ``U.T``, so it whitens the same prior."""
+    return whitener.values[:, None] * whitener.basis.T
 
 
 def dense_operator(vo):

@@ -47,7 +47,7 @@ from graphsamp import (
     trial_seeds,
 )
 from graphsamp.cli import main as cli_main
-from graphsamp.variation import Whitener
+from graphsamp.variation import VariationOperator
 
 
 def _report(number: int, name: str, ok: bool, detail: str) -> str:
@@ -241,7 +241,7 @@ def test_criterion_06_identity_whitener_fixed_point():
     nuclear norm within 1% of eps*sqrt(K)."""
     n, K = 16, 4
     epsilon = default_radius(n, K)
-    identity = Whitener(np.ones(n), np.eye(n))
+    identity = VariationOperator(np.ones(n), np.eye(n))
     design = design_sampling_operator(identity, K, DesignConfig(epsilon=epsilon, seed=6))
     singular = np.linalg.svd(design.matrix, compute_uv=False)
     target = epsilon / np.sqrt(K)

@@ -131,6 +131,34 @@ class TestDesignCommand:
             "error: --seed: seed must be an integer in [0, 2**64)"
         )
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--n", "64", "--graph-k", "0", "--k", "8"],
+             "--graph-k: k must satisfy 1 <= k < n, got k=0, n=64"),
+            (["--n", "64", "--k", "64"], "--k: num_samples must satisfy 1 <= K < 64, got 64"),
+            (["--n", "1", "--k", "1"], "--n: need at least 2 vertices, got 1"),
+        ],
+        ids=["graph-k", "k", "n"],
+    )
+    def test_size_flags_named(self, tmp_path, capsys, argv, message):
+        """--graph-k and --k are both a "k" to the library; the flag says which."""
+        rc = main(["design", *argv, "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_design_loop_error_names_no_flag(self, tmp_path, capsys, monkeypatch):
+        """Only the flags' own checks are prefixed: an error the design loop
+        raises is reported as it is."""
+
+        def fail(*args, **kwargs):
+            raise ValueError("loop failed")
+
+        monkeypatch.setattr(graphsamp.cli, "design_sampling_operator", fail)
+        rc = main(["design", "--n", "16", "--k", "4", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: loop failed\n"
+
     def test_missing_graph_source_fails(self, tmp_path, capsys):
         rc = main(["design", "--k", "4", "--out-dir", str(tmp_path)])
         assert rc == 1
@@ -138,13 +166,15 @@ class TestDesignCommand:
 
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_nonpositive_k_named(self, tmp_path, capsys, k):
-        """k is refused by name before the 'auto' radius sqrt(n * k) is
+        """k is refused by its flag before the 'auto' radius sqrt(n * k) is
         taken, so no nan or zero epsilon is reported and nothing warns."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = main(["design", "--n", "32", "--k", k, "--out-dir", str(tmp_path)])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: k must be positive, got {k}\n"
+        assert capsys.readouterr().err == (
+            f"error: --k: num_samples must satisfy 1 <= K < 32, got {k}\n"
+        )
 
 
 class TestReconstructCommand:
@@ -211,6 +241,16 @@ class TestReconstructCommand:
              "--signal", str(tmp_path / "x.txt"), "--out-dir", str(tmp_path / "rec")]
         )
         assert rc == 0
+
+    def test_graph_k_named(self, tmp_path, capsys):
+        rc = main(
+            ["reconstruct", "--n", "64", "--graph-k", "64", "--sampling", str(tmp_path / "S.txt"),
+             "--signal", str(tmp_path / "x.txt"), "--out-dir", str(tmp_path / "rec")]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --graph-k: k must satisfy 1 <= k < n, got k=64, n=64\n"
+        )
 
     def test_nan_signal_file_fails(self, tmp_path, graph_file, capsys):
         g, gpath = graph_file

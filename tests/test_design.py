@@ -2,9 +2,10 @@
 
 Oracles:
 - the design loop: the dense loop on ``A @ S``, A the whitener's dense
-  matrix, with the polar factor from ``np.linalg.svd`` and the step length
-  from A's singular values, started from the same restriction of the
-  Gaussian start to the kept columns, kept here as the reference for the
+  matrix ``diag(d) @ Q.T`` or ``F^-1 = Q @ diag(d) @ Q.T`` itself, with
+  the polar factor from ``np.linalg.svd`` and the step length from A's
+  singular values, started from the same restriction of the Gaussian
+  start to the kept columns, kept here as the reference for the
   spectral-coordinate loop on the kept rows;
 - the polar factor: ``U @ Vt`` of ``np.linalg.svd``, the form the Gram
   matrix route replaces;
@@ -18,7 +19,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import dense_whitener, nuclear_norm, nuclear_subgradient, numerical_rank
+from helpers import (
+    dense_operator,
+    dense_whitener,
+    nuclear_norm,
+    nuclear_subgradient,
+    numerical_rank,
+)
 
 import graphsamp.design as design_module
 from graphsamp import (
@@ -42,7 +49,7 @@ from graphsamp.design import (
     SamplingDesign,
     _polar_factor,
 )
-from graphsamp.variation import Whitener
+from graphsamp.variation import VariationOperator
 
 
 def _operator(n, seed):
@@ -56,7 +63,7 @@ def _whitener(n, seed):
 
 
 def _identity(n):
-    return Whitener(np.ones(n), np.eye(n))
+    return VariationOperator(np.ones(n), np.eye(n))
 
 
 def _svd_polar_factor(M):
@@ -68,20 +75,24 @@ def _svd_polar_factor(M):
 def _kept_columns(whitener, num_samples):
     """The basis columns of the ``min(n, ROWS_PER_SAMPLE * K)`` largest
     scales, ties to the lowest index, by a Python sort."""
-    scales = whitener.scales.tolist()
+    scales = whitener.values.tolist()
     m = min(len(scales), ROWS_PER_SAMPLE * num_samples)
     keep = sorted(sorted(range(len(scales)), key=lambda i: (-scales[i], i))[:m])
     return whitener.basis[:, keep]
 
 
-def _reference_design(whitener, num_samples, config):
+def _reference_design(whitener, num_samples, config, dense=dense_whitener):
     """The dense loop: two n x n products and a thin SVD per iteration, on S
     itself, with the step length taken from A's largest singular value.
+
+    A is ``dense(whitener)``: ``diag(d) @ Q.T``, or with ``dense_operator``
+    the whitener ``F^-1 = Q @ diag(d) @ Q.T`` itself, whose extra left Q
+    changes neither the nuclear norm nor the step ``A.T @ G``.
 
     It starts from ``Q_m Q_m.T S_0``, the projected Gaussian restricted to
     the span of the kept columns, and runs on all n rows from there.
     """
-    A = dense_whitener(whitener)
+    A = dense(whitener)
     n = A.shape[0]
     gamma = STEP_SCALE * config.epsilon / np.linalg.svd(A, compute_uv=False)[0]
     rng = np.random.default_rng(config.seed)
@@ -117,13 +128,13 @@ def _reference_design(whitener, num_samples, config):
 
 
 def _random_whitener(n, seed):
-    """``Whitener(d, Q)`` with a random orthogonal Q and unsorted positive d,
+    """``VariationOperator(d, Q)`` with a random orthogonal Q and unsorted positive d,
     a whitener not built from any graph."""
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     d = rng.uniform(0.5, 3.0, n)
     assert np.any(np.diff(d) > 0) and np.any(np.diff(d) < 0)
-    return Whitener(d, Q)
+    return VariationOperator(d, Q)
 
 
 class TestProjectFrobeniusBall:
@@ -352,8 +363,8 @@ class TestDesignSamplingOperator:
     def test_zero_row_whitener_rejected(self):
         """Scale 2 is zero, so row 2 of ``diag(scales) basis.T`` is zero and
         the whitener is singular; it is refused before any design runs."""
-        with pytest.raises(ValueError, match="whitener scale 2 must be positive"):
-            Whitener(np.array([1.0, 3.0, 0.0, 2.0]), np.eye(4))
+        with pytest.raises(ValueError, match="variation operator value 2 must be positive"):
+            VariationOperator(np.array([1.0, 3.0, 0.0, 2.0]), np.eye(4))
 
     def test_factored_design_allocates_no_square_array(self):
         """Reading ``vo.whitener`` and designing with it at n=512, K=32 peaks
@@ -380,7 +391,7 @@ def _offset_whitener(n, seed):
 
 def _whitened_iterate(whitener, design):
     """``d * (Q.T @ S)``, the whitened iterate the loop hands the polar factor."""
-    return whitener.scales[:, None] * (whitener.basis.T @ design.matrix)
+    return whitener.values[:, None] * (whitener.basis.T @ design.matrix)
 
 
 class TestGramPolarFactor:
@@ -433,7 +444,7 @@ class TestGramPolarFactor:
         values, so the guard hands the iterate to the thin SVD: G and the
         singular values are bit for bit those of ``np.linalg.svd``."""
         W = _offset_whitener(64, seed=5)
-        assert W.scales.max() / W.scales.min() >= 1e6
+        assert W.values.max() / W.values.min() >= 1e6
         design = design_sampling_operator(W, 8, DesignConfig(epsilon=default_radius(64, 8), seed=6))
         M = _whitened_iterate(W, design)
         s = np.linalg.svd(M, compute_uv=False)
@@ -454,7 +465,7 @@ class TestStepRule:
         eps = default_radius(64, K) / 2  # the Gaussian start is projected in both runs
         base = design_sampling_operator(W, K, DesignConfig(epsilon=eps, seed=13))
         scaled = design_sampling_operator(
-            Whitener(W.scales * 2.0**3, W.basis), K, DesignConfig(epsilon=eps * 2.0**-2, seed=13)
+            VariationOperator(W.values * 2.0**3, W.basis), K, DesignConfig(epsilon=eps * 2.0**-2, seed=13)
         )
         assert base.converged and scaled.converged
         assert scaled.iterations == base.iterations
@@ -475,6 +486,10 @@ class TestSpectralLoopAgainstDenseLoop:
             "identity-16",
             "random-40",
             "offset-64",
+            "inverse-variation-24",
+            "inverse-variation-64",
+            "inverse-random-8",
+            "inverse-random-40",
         ],
     )
     def test_matches_dense_reference(self, case):
@@ -484,10 +499,13 @@ class TestSpectralLoopAgainstDenseLoop:
         rounding is relative to the iterate's norm, at most epsilon. The
         offset whitener's iterates are too ill-conditioned for the Gram
         route, so that case runs the polar factor's SVD branch. At n=8,
-        K=4 the loop keeps all 2K = n rows.
+        K=4 the loop keeps all 2K = n rows. An ``inverse-`` case runs the
+        dense loop on ``F^-1`` itself rather than on ``diag(d) @ Q.T``.
         """
         kind, n = case.rsplit("-", 1)
         n = int(n)
+        inverse = kind.startswith("inverse-")
+        kind = kind.removeprefix("inverse-")
         if kind == "variation":
             A = _whitener(n, seed=n)
         elif kind == "identity":
@@ -499,7 +517,7 @@ class TestSpectralLoopAgainstDenseLoop:
         K = max(n // 8, 4)
         cfg = DesignConfig(epsilon=default_radius(n, K), seed=n + 1)
         got = design_sampling_operator(A, K, cfg)
-        want = _reference_design(A, K, cfg)
+        want = _reference_design(A, K, cfg, dense_operator if inverse else dense_whitener)
         assert got.iterations == want.iterations
         assert got.converged == want.converged
         scale = np.linalg.norm(want.matrix)
@@ -538,7 +556,7 @@ class TestClosedFormCertificate:
         spectrum = eigendecompose(laplacian(random_sensor_graph(n, 6, 1)))
         offset = float(spectrum.eigenvalues.max()) + 0.1
         W = build_variation_operator(spectrum, SpectralResponse(-1.0, offset)).whitener
-        assert np.argmax(W.scales) == n - 1
+        assert np.argmax(W.values) == n - 1
         self._check(W, 32, seed=1)
 
     def test_identity_tie_compares_nuclear_norms(self):

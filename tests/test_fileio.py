@@ -1,6 +1,7 @@
 """Round trips and error handling for the text file formats."""
 
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -81,6 +82,20 @@ class TestGraphFormat:
         message = f"^{re.escape(str(path))}: header vertex count must be at least 1, got {count}$"
         with pytest.raises(ValueError, match=message):
             load_graph(path)
+
+    def test_header_count_allocates_nothing_of_its_size(self, tmp_path):
+        """A 19-byte file claiming 10**6 vertices and one edge is refused as
+        disconnected with a peak under 1 MB: the header count sizes nothing."""
+        path = tmp_path / "g.txt"
+        path.write_text("n 1000000\n0 1 1.0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: graph is not connected$"):
+                load_graph(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_nan_coordinate_rejected(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -356,10 +371,10 @@ class TestMatrixAgainstTokenLoop:
 class TestTraceCsv:
     def test_columns_and_length(self, tmp_path):
         from graphsamp import DesignConfig, design_sampling_operator
-        from graphsamp.variation import Whitener
+        from graphsamp.variation import VariationOperator
 
         design = design_sampling_operator(
-            Whitener(np.ones(8), np.eye(8)), 2, DesignConfig(epsilon=4.0, seed=0)
+            VariationOperator(np.ones(8), np.eye(8)), 2, DesignConfig(epsilon=4.0, seed=0)
         )
         path = tmp_path / "trace.csv"
         save_trace_csv(design, path)

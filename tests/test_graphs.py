@@ -9,6 +9,8 @@ Ground truth:
   arrays, kept here as the reference.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,18 @@ class TestGraphValidation:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="not connected"):
             Graph(4, [(0, 1), (2, 3)], [1.0, 1.0])
+
+    def test_too_few_edges_rejected_before_any_vertex_sized_array(self):
+        """m < n - 1 edges cannot connect n vertices, so a vertex count of 10**6
+        with one edge is refused before any array of n entries is built."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^graph is not connected$"):
+                Graph(10**6, [(0, 1)], [1.0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_bad_coordinate_shape_rejected(self):
         with pytest.raises(ValueError, match="coordinates"):

@@ -21,7 +21,7 @@ from graphsamp import (
 )
 from graphsamp.cli import main
 from graphsamp.graphs import sparse_laplacian
-from graphsamp.variation import Whitener, _largest_eigenvalue, build_sparse_variation_operator
+from graphsamp.variation import VariationOperator, _largest_eigenvalue, build_sparse_variation_operator
 
 
 def _sensor_operator(n, seed, slope=1.0, offset=0.1):
@@ -134,7 +134,7 @@ class TestWhitener:
         ``basis`` itself, not a copy."""
         _, vo = _sensor_operator(16, seed=9)
         w = vo.whitener
-        np.testing.assert_array_equal(w.scales, 1.0 / vo.values)
+        np.testing.assert_array_equal(w.values, 1.0 / vo.values)
         assert w.basis is vo.basis
 
     @pytest.mark.parametrize(
@@ -143,14 +143,14 @@ class TestWhitener:
             ([1.0, 2.0, 3.0], np.eye(4), "shapes"),
             ([1.0, 2.0], np.ones((2, 3)), "shapes"),
             ([[1.0, 2.0]], np.eye(2), "shapes"),
-            ([1.0, -2.0, 3.0], np.eye(3), "scale 1 must be positive"),
-            ([1.0, 2.0, np.inf], np.eye(3), "scale 2 must be positive and finite"),
-            ([np.nan, 2.0, 3.0], np.eye(3), "scale 0 must be positive and finite"),
+            ([1.0, -2.0, 3.0], np.eye(3), "value 1 must be positive"),
+            ([1.0, 2.0, np.inf], np.eye(3), "value 2 must be positive and finite"),
+            ([np.nan, 2.0, 3.0], np.eye(3), "value 0 must be positive and finite"),
         ],
     )
     def test_invalid_factors_rejected(self, scales, basis, message):
         with pytest.raises(ValueError, match=message):
-            Whitener(np.asarray(scales), basis)
+            VariationOperator(np.asarray(scales), basis)
 
     def test_solve_gram_dimension_mismatch(self):
         _, vo = _sensor_operator(8, seed=2)
