@@ -13,6 +13,7 @@ mixing, so a benchmark run is reproducible byte for byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
@@ -23,7 +24,7 @@ from .design import DesignConfig, design_sampling_operator
 from .fileio import _fmt
 from .graphs import eigendecompose, laplacian, random_sensor_graph
 from .reconstruct import build_pipeline, sample
-from .seeds import _integer, _naming, _sample_count, _seed, mix_seed
+from .seeds import _integer, _naming, _neighbour_count, _sample_count, _seed, _vertex_count, mix_seed
 from .signals import SignalModelSpec, generate_signal
 from .variation import SpectralResponse, build_variation_operator
 
@@ -39,20 +40,21 @@ _BASELINE_STREAM = 3
 
 
 def default_radius(n: int, num_samples: int) -> float:
-    """Frobenius budget sqrt(n * K) used by the experiment presets.
+    """Frobenius budget sqrt(n * K) used by the experiment presets; a
+    ValueError naming ``n`` or ``num_samples`` when it is out of range."""
+    n = _vertex_count("n", n)
+    return math.sqrt(n * _sample_count("num_samples", num_samples, n))
 
-    Raises:
-        ValueError: naming ``n`` or ``k`` when it is not positive.
-    """
-    for name, value in (("n", n), ("k", num_samples)):
-        if value < 1:
-            raise ValueError(f"{name} must be positive, got {value}")
-    return float(np.sqrt(n * num_samples))
+
+def _radius(epsilon, n: int, num_samples: int) -> float:
+    """The radius of a flag or config value: ``default_radius`` for 'auto', else a number."""
+    return default_radius(n, num_samples) if epsilon == "auto" else float(epsilon)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one benchmark run."""
+    """Full description of one benchmark run. ``design.seed`` is not read:
+    ``run_trial`` replaces it with each trial's design stream."""
 
     n: int
     num_samples: int
@@ -67,26 +69,19 @@ class ExperimentConfig:
     fixed_graph: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("n", "num_samples", "graph_k", "trials"):
-            _integer(name, getattr(self, name))
-        _seed("master_seed", self.master_seed)
-        if self.n < 2:
-            raise ValueError(f"n must be at least 2, got {self.n}")
-        _sample_count(self.num_samples, self.n)
-        if not 1 <= self.graph_k < self.n:
-            raise ValueError(f"graph_k must satisfy 1 <= k < n, got {self.graph_k}")
-        if self.trials < 1:
+        _vertex_count("n", self.n)
+        _sample_count("num_samples", self.num_samples, self.n)
+        _neighbour_count("graph_k", self.graph_k, self.n)
+        if _integer("trials", self.trials) < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        _seed("master_seed", self.master_seed)
         if self.baseline not in BASELINE_CHOICES:
             raise ValueError(
                 f"baseline must be one of {BASELINE_CHOICES}, got {self.baseline!r}"
             )
         if self.design is None:
-            object.__setattr__(
-                self,
-                "design",
-                DesignConfig(epsilon=default_radius(self.n, self.num_samples)),
-            )
+            radius = default_radius(self.n, self.num_samples)
+            object.__setattr__(self, "design", DesignConfig(epsilon=radius))
 
 
 @dataclass(frozen=True)
@@ -336,19 +331,22 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
         with _naming(f"config key {key}"):
             parsed[section][name] = _CONFIG_PARSERS[key](text)
     top, design = parsed[""], parsed["design"]
-    n, num_samples = top.pop("n"), top.pop("k")
-    epsilon = design.get("epsilon", "auto")
-    if epsilon == "auto":
-        design["epsilon"] = default_radius(n, num_samples)
-    else:
-        with _naming("config key design.epsilon"):
-            design["epsilon"] = float(epsilon)
+    with _naming("config key n"):
+        n = _vertex_count("n", top.pop("n"))
+    with _naming("config key k"):
+        num_samples = _sample_count("k", top.pop("k"), n)
+    with _naming("config key graph_k"):
+        _neighbour_count("graph_k", top.get("graph_k", ExperimentConfig.graph_k), n)
+    with _naming("config key design.epsilon"):
+        knobs = DesignConfig(_radius(design.pop("epsilon", "auto"), n, num_samples))
+    with _naming("config key design.max_iter"):
+        knobs = replace(knobs, **design)
     return ExperimentConfig(
         n=n,
         num_samples=num_samples,
         response=SpectralResponse(**parsed["response"]),
         model=SignalModelSpec(**parsed["model"]),
-        design=DesignConfig(**design),
+        design=knobs,
         **top,
     )
 

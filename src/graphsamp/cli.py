@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .bench import ExperimentConfig, default_radius, load_experiment_config, mse, run_benchmark
+from .bench import ExperimentConfig, _radius, load_experiment_config, mse, run_benchmark
 from .design import DesignConfig, design_sampling_operator
 from .fileio import (
     load_graph,
@@ -49,9 +50,9 @@ def _obtain_graph(args):
     with _naming("--graph-seed"):
         seed = _seed("seed", args.graph_seed)
     with _naming("--n"):
-        n = _vertex_count(args.n)
+        n = _vertex_count("n", args.n)
     with _naming("--graph-k"):
-        k = _neighbour_count(args.graph_k, n)
+        k = _neighbour_count("k", args.graph_k, n)
     return random_sensor_graph(n, k, seed), True
 
 
@@ -60,16 +61,15 @@ def _cmd_design(args) -> int:
         seed = _seed("seed", args.seed)
     graph, generated = _obtain_graph(args)
     with _naming("--k"):
-        k = _sample_count(args.k, graph.num_vertices)
+        k = _sample_count("num_samples", args.k, graph.num_vertices)
+    with _naming("--epsilon"):
+        config = DesignConfig(_radius(args.epsilon, graph.num_vertices, k), seed=seed)
+    with _naming("--max-iter"):
+        config = replace(config, max_iter=args.max_iter)
     spectrum = eigendecompose(laplacian(graph))
     response = SpectralResponse(args.response_slope, args.response_offset)
-    vo = build_variation_operator(spectrum, response)
-    if args.epsilon == "auto":
-        epsilon = default_radius(graph.num_vertices, k)
-    else:
-        with _naming("--epsilon"):
-            epsilon = float(args.epsilon)
-    config = DesignConfig(epsilon=epsilon, max_iter=args.max_iter, seed=seed)
+    with _naming("--response-slope/--response-offset"):
+        vo = build_variation_operator(spectrum, response)
     design = design_sampling_operator(vo.whitener, k, config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -90,7 +90,8 @@ def _cmd_reconstruct(args) -> int:
     S = load_matrix(args.sampling)
     x = load_signal(args.signal)
     response = SpectralResponse(args.response_slope, args.response_offset)
-    vo = build_sparse_variation_operator(sparse_laplacian(graph), response)
+    with _naming("--response-slope/--response-offset"):
+        vo = build_sparse_variation_operator(sparse_laplacian(graph), response)
     pipeline = build_pipeline(vo, S)
     x_hat = pipeline.reconstruct(sample(S, x))
     out = Path(args.out_dir)

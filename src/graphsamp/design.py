@@ -178,7 +178,7 @@ def design_sampling_operator(
     """
     scales, Q = whitener.values, whitener.basis
     n = Q.shape[0]
-    num_samples = _sample_count(num_samples, n)
+    num_samples = _sample_count("num_samples", num_samples, n)
     m = min(n, ROWS_PER_SAMPLE * num_samples)
     if m < n:
         keep = np.sort(np.argsort(-scales, kind="stable")[:m])

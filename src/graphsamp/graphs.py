@@ -143,8 +143,8 @@ def random_sensor_graph(n: int, k: int, seed: int) -> Graph:
         RuntimeError: if no connected placement is found, which signals
             pathological (n, k).
     """
-    n = _vertex_count(n)
-    k, seed = _neighbour_count(k, n), _seed("seed", seed)
+    n = _vertex_count("n", n)
+    k, seed = _neighbour_count("k", k, n), _seed("seed", seed)
     for attempt in range(MAX_PLACEMENT_ATTEMPTS):
         rng = np.random.default_rng((seed + attempt) & _UINT64_MASK)
         points = rng.random((n, 2))

@@ -1,5 +1,5 @@
-"""The one rule for integer, count and seed arguments, the one way to name a
-rejected value, and derived seed streams."""
+"""One rule per integer, size and seed argument, each taking its caller's name
+first; the one way to name a rejected value; and derived seed streams."""
 
 import operator
 from contextlib import contextmanager
@@ -24,27 +24,27 @@ def _seed(name: str, value) -> int:
     return seed
 
 
-def _vertex_count(n) -> int:
-    """``n`` as an int of at least 2; a ValueError naming it otherwise."""
-    n = _integer("n", n)
+def _vertex_count(name: str, n) -> int:
+    """``n`` as an int of at least 2; a ValueError naming ``name`` otherwise."""
+    n = _integer(name, n)
     if n < 2:
-        raise ValueError(f"need at least 2 vertices, got {n}")
+        raise ValueError(f"{name} must be at least 2, got {n}")
     return n
 
 
-def _neighbour_count(k, n: int) -> int:
-    """``k`` as an int with 1 <= k < n; a ValueError naming it otherwise."""
-    k = _integer("k", k)
+def _neighbour_count(name: str, k, n: int) -> int:
+    """``k`` as an int with 1 <= k < n; a ValueError naming ``name`` otherwise."""
+    k = _integer(name, k)
     if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
+        raise ValueError(f"{name} must satisfy 1 <= {name} < n, got {name}={k}, n={n}")
     return k
 
 
-def _sample_count(num_samples, n: int) -> int:
-    """``num_samples`` as an int K with 1 <= K < n; a ValueError naming it otherwise."""
-    num_samples = _integer("num_samples", num_samples)
+def _sample_count(name: str, num_samples, n: int) -> int:
+    """``num_samples`` as an int K with 1 <= K < n; a ValueError naming ``name`` otherwise."""
+    num_samples = _integer(name, num_samples)
     if not 1 <= num_samples < n:
-        raise ValueError(f"num_samples must satisfy 1 <= K < {n}, got {num_samples}")
+        raise ValueError(f"{name} must satisfy 1 <= K < {n}, got {num_samples}")
     return num_samples
 
 

@@ -8,6 +8,7 @@ import pytest
 from graphsamp import (
     ExperimentConfig,
     SignalModelSpec,
+    default_radius,
     SpectralResponse,
     eigendecompose,
     gmrf_signal,
@@ -171,6 +172,27 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(n=32, num_samples=8)
         assert cfg.design.epsilon == pytest.approx(np.sqrt(32 * 8))
         assert cfg.baseline == METHOD_RANDOM_VERTEX
+
+    @pytest.mark.parametrize(
+        "n, num_samples, message",
+        [
+            (1, 1, "n must be at least 2, got 1"),
+            (16, 0, "num_samples must satisfy 1 <= K < 16, got 0"),
+            (16, 16, "num_samples must satisfy 1 <= K < 16, got 16"),
+            (16.0, 4, "n must be an integer, got 16.0"),
+        ],
+    )
+    def test_default_radius_applies_the_size_rules(self, n, num_samples, message):
+        with pytest.raises(ValueError) as info:
+            default_radius(n, num_samples)
+        assert str(info.value) == message
+
+    def test_default_radius_matches_numpy_sqrt(self):
+        """The radius is the float sqrt(n * K), bit for bit as numpy takes it."""
+        rng = np.random.default_rng(0)
+        for n in rng.integers(2, 10**6, size=2000):
+            k = int(rng.integers(1, n))
+            assert default_radius(int(n), k) == float(np.sqrt(int(n) * k))
 
     def test_mapping_defaults_match_dataclasses(self):
         """A config naming only n and k takes every other value from the dataclasses."""

@@ -137,15 +137,35 @@ class TestDesignCommand:
             (["--n", "64", "--graph-k", "0", "--k", "8"],
              "--graph-k: k must satisfy 1 <= k < n, got k=0, n=64"),
             (["--n", "64", "--k", "64"], "--k: num_samples must satisfy 1 <= K < 64, got 64"),
-            (["--n", "1", "--k", "1"], "--n: need at least 2 vertices, got 1"),
+            (["--n", "1", "--k", "1"], "--n: n must be at least 2, got 1"),
+            (["--n", "32", "--k", "4", "--max-iter", "0"],
+             "--max-iter: max_iter must be positive, got 0"),
+            (["--n", "32", "--k", "4", "--epsilon", "-1"],
+             "--epsilon: epsilon must be positive and finite, got -1.0"),
+            (["--n", "32", "--k", "4", "--response-offset", "-1"],
+             "--response-slope/--response-offset: spectral response must be positive "
+             "on the whole spectrum (min value -1)"),
         ],
-        ids=["graph-k", "k", "n"],
+        ids=["graph-k", "k", "n", "max-iter", "epsilon", "response"],
     )
     def test_size_flags_named(self, tmp_path, capsys, argv, message):
-        """--graph-k and --k are both a "k" to the library; the flag says which."""
+        """--graph-k and --k are both a "k" to the library; the flag says which.
+        So do the design and response flags."""
         rc = main(["design", *argv, "--out-dir", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flag, value", [("--max-iter", "0"), ("--epsilon", "-1")])
+    def test_bad_design_flag_costs_no_spectrum(self, tmp_path, capsys, monkeypatch, flag, value):
+        """The design knobs are checked before the graph is eigendecomposed."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bad design flag needs no spectrum")
+
+        monkeypatch.setattr(graphsamp.cli, "eigendecompose", refuse)
+        rc = main(["design", "--n", "32", "--k", "4", flag, value, "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
 
     def test_design_loop_error_names_no_flag(self, tmp_path, capsys, monkeypatch):
         """Only the flags' own checks are prefixed: an error the design loop
@@ -252,6 +272,21 @@ class TestReconstructCommand:
             "error: --graph-k: k must satisfy 1 <= k < n, got k=64, n=64\n"
         )
 
+    def test_response_flags_named(self, tmp_path, graph_file, capsys):
+        g, gpath = graph_file
+        save_matrix(np.random.default_rng(0).standard_normal((24, 6)), tmp_path / "S.txt")
+        save_signal(np.random.default_rng(1).standard_normal(24), tmp_path / "x.txt")
+        rc = main(
+            ["reconstruct", "--graph", str(gpath), "--sampling", str(tmp_path / "S.txt"),
+             "--signal", str(tmp_path / "x.txt"), "--response-offset", "-1",
+             "--out-dir", str(tmp_path / "rec")]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --response-slope/--response-offset: spectral response must be "
+            "positive on the whole spectrum (min value -1)\n"
+        )
+
     def test_nan_signal_file_fails(self, tmp_path, graph_file, capsys):
         g, gpath = graph_file
         out = tmp_path / "design"
@@ -356,7 +391,20 @@ class TestBenchCommand:
         cfg.write_text("n 24\nk 30\ngraph_k 4\n")  # K >= n
         rc = main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert rc == 1
-        assert "num_samples" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: config key k: k must satisfy 1 <= K < 24, got 30\n"
+        )
+
+
+    def test_vertex_count_beyond_float_range_is_an_error(self, tmp_path, capsys):
+        """The 'auto' radius of an n too large for a float is a named error,
+        not a traceback; the config is refused before any trial runs."""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"n {10**400}\nk 5\n")
+        rc = main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: config key design.epsilon: ")
+        assert not (tmp_path / "o").exists()
 
 
 class TestRenderCommand:

@@ -1,5 +1,6 @@
 """Round trips and error handling for the text file formats."""
 
+import math
 import re
 import tracemalloc
 import warnings
@@ -13,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from helpers import reference_load_matrix
 
 from graphsamp import (
+    ExperimentConfig,
     Graph,
     load_experiment_config,
     load_graph,
@@ -493,8 +495,80 @@ class TestExperimentConfigFile:
         path.write_text(f"n {n}\nk {k}\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"^{name} must be positive, got "):
+            with pytest.raises(ValueError, match=f"^config key {name}: "):
                 load_experiment_config(path)
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("n 24\nk 30\n", "config key k: k must satisfy 1 <= K < 24, got 30"),
+            ("n 24\nk 0\n", "config key k: k must satisfy 1 <= K < 24, got 0"),
+            (
+                "n 24\nk 4\ngraph_k 30\n",
+                "config key graph_k: graph_k must satisfy 1 <= graph_k < n, got graph_k=30, n=24",
+            ),
+            ("n 1\nk 3\n", "config key n: n must be at least 2, got 1"),
+            (
+                "n 24\nk 4\ndesign.epsilon -1\n",
+                "config key design.epsilon: epsilon must be positive and finite, got -1.0",
+            ),
+            (
+                "n 24\nk 4\ndesign.max_iter 0\n",
+                "config key design.max_iter: max_iter must be positive, got 0",
+            ),
+        ],
+        ids=["k-too-large", "k-zero", "graph_k", "n", "epsilon", "max_iter"],
+    )
+    def test_out_of_range_value_names_key(self, tmp_path, lines, message):
+        """A size or design value out of range is reported after the key the
+        file wrote, not the field it fills."""
+        path = tmp_path / "cfg.txt"
+        path.write_text(lines)
+        with pytest.raises(ValueError) as info:
+            load_experiment_config(path)
+        assert str(info.value) == message
+
+    def test_vertex_count_beyond_int64_or_float_range(self, tmp_path):
+        """n beyond int64 is a Python int the radius takes without numpy; n
+        beyond the float range is a named error, not a traceback. Neither
+        file runs a trial."""
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"n {10**20}\nk 5\n")
+        cfg = load_experiment_config(path)
+        assert cfg.design.epsilon == math.sqrt(5 * 10**20)
+        path.write_text(f"n {10**400}\nk 5\n")
+        with pytest.raises(ValueError, match="^config key design.epsilon: "):
+            load_experiment_config(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(-3, 40),
+        k=st.integers(-3, 45),
+        graph_k=st.integers(-3, 45),
+    )
+    def test_file_and_library_accept_the_same_sizes(self, n, k, graph_k):
+        """A file is refused exactly when the library refuses its sizes; the
+        file names the first bad one of n, k and graph_k by its key, the
+        library by its field."""
+        try:
+            ExperimentConfig(n=n, num_samples=k, graph_k=graph_k)
+        except ValueError as exc:
+            library_error = str(exc)
+        else:
+            library_error = None
+        try:
+            config_from_mapping({"n": str(n), "k": str(k), "graph_k": str(graph_k)})
+        except ValueError as exc:
+            file_error = str(exc)
+        else:
+            file_error = None
+        assert (file_error is None) == (library_error is None)
+        if file_error is None:
+            return
+        first_bad = "n" if n < 2 else "k" if not 1 <= k < n else "graph_k"
+        assert file_error.startswith(f"config key {first_bad}: {first_bad} ")
+        field = {"k": "num_samples"}.get(first_bad, first_bad)
+        assert library_error.startswith(f"{field} ")
 
     def test_explicit_epsilon(self):
         cfg = config_from_mapping({"n": "32", "k": "8", "design.epsilon": "5.5"})
