@@ -5,10 +5,10 @@ reconstructs from its samples, and scores the mean squared error; a
 random vertex-selection baseline runs through the identical
 reconstruction machinery so the sampling design is the only varied
 factor. The graph is fresh in every trial unless ``fixed_graph`` is
-set; then its set-up (graph, Laplacian, spectrum and variation
-operator) is built once and shared, read-only, by every trial. All
-randomness derives from the master seed through documented stream
-mixing, so a benchmark run is reproducible byte for byte.
+set; then its set-up (Laplacian, spectrum and variation operator) is
+built once and shared, read-only, by every trial. All randomness
+derives from the master seed through documented stream mixing, so a
+benchmark run is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ from .design import DesignConfig, design_sampling_operator
 from .fileio import _fmt
 from .graphs import eigendecompose, laplacian, random_sensor_graph
 from .reconstruct import build_pipeline, sample
-from .seeds import _integer, _naming, _neighbour_count, _sample_count, _seed, _vertex_count, mix_seed
+from .seeds import (
+    _count, _integer, _naming, _neighbour_count, _sample_count, _seed, _vertex_count, mix_seed,
+)
 from .signals import SignalModelSpec, generate_signal
 from .variation import SpectralResponse, build_variation_operator
 
@@ -72,8 +74,7 @@ class ExperimentConfig:
         _vertex_count("n", self.n)
         _sample_count("num_samples", self.num_samples, self.n)
         _neighbour_count("graph_k", self.graph_k, self.n)
-        if _integer("trials", self.trials) < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        _count("trials", self.trials)
         _seed("master_seed", self.master_seed)
         if self.baseline not in BASELINE_CHOICES:
             raise ValueError(
@@ -159,22 +160,21 @@ def trial_seeds(cfg: ExperimentConfig, trial_index: int) -> tuple[int, int, int,
 
 @lru_cache(maxsize=1)
 def _graph_setup(n: int, graph_k: int, graph_seed: int, response: SpectralResponse):
-    """Graph, Laplacian, spectrum and variation operator of one trial, all read-only.
+    """Sparse Laplacian, spectrum and variation operator of one trial, all read-only.
 
     Memoized for the last set of arguments, so trials on a fixed graph
     share one set-up; every array is frozen so that no caller can
     change what later trials read.
     """
-    graph = random_sensor_graph(n, graph_k, graph_seed)
-    lap = laplacian(graph)
+    lap = laplacian(random_sensor_graph(n, graph_k, graph_seed))
     spectrum = eigendecompose(lap)
     vo = build_variation_operator(spectrum, response)
     for array in (
-        graph.edges, graph.weights, graph.coordinates, lap,
+        lap.data, lap.indices, lap.indptr,
         spectrum.eigenvalues, spectrum.eigenvectors, vo.values,
     ):
         array.setflags(write=False)
-    return graph, lap, spectrum, vo
+    return lap, spectrum, vo
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
@@ -186,8 +186,8 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
     """
     graph_seed, design_seed, signal_seed, baseline_seed = trial_seeds(cfg, trial_index)
     setup = _graph_setup if cfg.fixed_graph else _graph_setup.__wrapped__
-    graph, lap, spectrum, vo = setup(cfg.n, cfg.graph_k, graph_seed, cfg.response)
-    x = generate_signal(cfg.model, graph, spectrum, lap, seed=signal_seed)
+    lap, spectrum, vo = setup(cfg.n, cfg.graph_k, graph_seed, cfg.response)
+    x = generate_signal(cfg.model, spectrum, lap, seed=signal_seed)
     design = design_sampling_operator(
         vo.whitener, cfg.num_samples, replace(cfg.design, seed=design_seed)
     )

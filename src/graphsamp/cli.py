@@ -18,7 +18,7 @@ from .fileio import (
     save_signal,
     save_trace_csv,
 )
-from .graphs import eigendecompose, laplacian, random_sensor_graph, sparse_laplacian
+from .graphs import eigendecompose, laplacian, random_sensor_graph
 from .reconstruct import build_pipeline, sample
 from .render import render_signal_svg
 from .seeds import _naming, _neighbour_count, _sample_count, _seed, _vertex_count
@@ -91,7 +91,7 @@ def _cmd_reconstruct(args) -> int:
     x = load_signal(args.signal)
     response = SpectralResponse(args.response_slope, args.response_offset)
     with _naming("--response-slope/--response-offset"):
-        vo = build_sparse_variation_operator(sparse_laplacian(graph), response)
+        vo = build_sparse_variation_operator(laplacian(graph), response)
     pipeline = build_pipeline(vo, S)
     x_hat = pipeline.reconstruct(sample(S, x))
     out = Path(args.out_dir)

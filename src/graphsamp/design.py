@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeds import _integer, _sample_count, _seed
+from .seeds import _count, _sample_count, _seed
 from .variation import VariationOperator
 
 # relative step size ||T_next - T||_F / ||T||_F below which the loop stops
@@ -77,8 +77,7 @@ class DesignConfig:
     def __post_init__(self) -> None:
         if not 0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if _integer("max_iter", self.max_iter) < 1:
-            raise ValueError(f"max_iter must be positive, got {self.max_iter}")
+        _count("max_iter", self.max_iter)
         _seed("seed", self.seed)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .design import SamplingDesign
 from .graphs import Graph
-from .seeds import _naming
+from .seeds import _count, _naming
 
 
 def _fmt(value: float) -> str:
@@ -62,9 +62,7 @@ def load_graph(path) -> Graph:
         header = lines[0].split()
         if len(header) != 2 or header[0] != "n":
             raise ValueError(f"expected header 'n <num_vertices>', got {lines[0]!r}")
-        n = int(header[1])
-        if n < 1:
-            raise ValueError(f"header vertex count must be at least 1, got {n}")
+        n = _count("header vertex count", int(header[1]))
         pos = 1
         coords = None
         if pos < len(lines) and lines[pos] == "coords":

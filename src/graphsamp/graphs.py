@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, csc_matrix
+from scipy.sparse import coo_matrix, csc_matrix, issparse
 from scipy.sparse.csgraph import connected_components
 
-from .seeds import _UINT64_MASK, _integer, _neighbour_count, _seed, _vertex_count
+from .seeds import _UINT64_MASK, _count, _integer, _neighbour_count, _seed, _vertex_count
 
 MAX_PLACEMENT_ATTEMPTS = 50
 
@@ -30,9 +30,7 @@ class Graph:
     coordinates: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        n = _integer("num_vertices", self.num_vertices)
-        if n < 1:
-            raise ValueError(f"num_vertices must be a positive integer, got {n!r}")
+        n = _count("num_vertices", self.num_vertices)
         object.__setattr__(self, "num_vertices", n)
         pairs = np.asarray(self.edges) if len(self.edges) else np.empty((0, 2), np.intp)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -168,20 +166,12 @@ def random_sensor_graph(n: int, k: int, seed: int) -> Graph:
     )
 
 
-def laplacian(graph: Graph) -> np.ndarray:
-    """Combinatorial Laplacian: degree matrix minus weight matrix."""
-    u, v = graph.edges.T
-    W = np.zeros((graph.num_vertices, graph.num_vertices))
-    W[u, v] = W[v, u] = graph.weights
-    return np.diag(W.sum(axis=1)) - W
-
-
-def sparse_laplacian(graph: Graph) -> csc_matrix:
-    """Combinatorial Laplacian as a sparse CSC matrix, with no n x n array.
+def laplacian(graph: Graph) -> csc_matrix:
+    """Combinatorial Laplacian, degree matrix minus weight matrix, as a sparse
+    CSC matrix with no n x n array.
 
     Degrees are ``np.bincount`` sums of the edge weights. The matrix is
-    symmetric, so it is also its own CSR transpose; the dense
-    ``laplacian`` is its oracle.
+    symmetric, so it is also its own CSR transpose.
     """
     n = graph.num_vertices
     u, v = graph.edges.T
@@ -194,9 +184,11 @@ def sparse_laplacian(graph: Graph) -> csc_matrix:
     return coo_matrix((data, (rows, cols)), shape=(n, n)).tocsc()
 
 
-def eigendecompose(matrix: np.ndarray) -> Spectrum:
-    """Full spectral decomposition of a symmetric matrix.
+def eigendecompose(matrix) -> Spectrum:
+    """Full spectral decomposition of a symmetric matrix, dense or sparse.
 
+    A sparse matrix, such as ``laplacian``'s, is densified here for
+    ``eigh``; that is the one n x n copy of it the program makes.
     Eigenvalues come back ascending with orthonormal eigenvectors. Each
     eigenvector's sign is fixed deterministically: the entry of largest
     magnitude (lowest index on ties) is made positive.
@@ -204,7 +196,7 @@ def eigendecompose(matrix: np.ndarray) -> Spectrum:
     Raises:
         ValueError: if the input is not square, finite and symmetric.
     """
-    M = np.asarray(matrix, dtype=float)
+    M = np.asarray(matrix.toarray() if issparse(matrix) else matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):

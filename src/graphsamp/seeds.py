@@ -24,6 +24,14 @@ def _seed(name: str, value) -> int:
     return seed
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an int of at least 1; a ValueError naming ``name`` otherwise."""
+    value = _integer(name, value)
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return value
+
+
 def _vertex_count(name: str, n) -> int:
     """``n`` as an int of at least 2; a ValueError naming ``name`` otherwise."""
     n = _integer(name, n)

@@ -5,8 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
-from .graphs import Graph, Spectrum
+from .graphs import Spectrum
 from .seeds import _seed
 
 MODEL_KINDS = ("gmrf", "pwl")
@@ -46,21 +48,22 @@ def gmrf_signal(spectrum: Spectrum, eta: float, seed: int) -> np.ndarray:
     return spectrum.eigenvectors @ coeffs
 
 
-def pwl_signal(graph: Graph, lap: np.ndarray, density: float, seed: int) -> np.ndarray:
+def pwl_signal(lap: csc_matrix, density: float, seed: int) -> np.ndarray:
     """Piecewise-linear signal by harmonic interpolation from random anchors.
 
-    round(density * |V|) anchors (at least one; drawn uniformly without
-    replacement, then sorted) take independent uniform values on
-    [-1, 1]; every other vertex gets the harmonic extension, so the
-    Laplacian applied to the result vanishes off the anchors and the
-    maximum principle keeps values inside the anchor range.
+    round(density * n) anchors of the n x n Laplacian ``lap`` (at least
+    one; drawn uniformly without replacement, then sorted) take
+    independent uniform values on [-1, 1]; every other vertex gets the
+    harmonic extension, the sparse LU solve of ``L_ff x_f = -L_fa x_a``,
+    so the Laplacian applied to the result vanishes off the anchors and
+    the maximum principle keeps values inside the anchor range.
     """
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must lie in (0, 1], got {density}")
-    n = graph.num_vertices
-    L = np.asarray(lap, dtype=float)
+    L = csc_matrix(lap, dtype=float)
+    n = L.shape[0]
     if L.shape != (n, n):
-        raise ValueError(f"Laplacian shape {L.shape} does not match {n} vertices")
+        raise ValueError(f"Laplacian must be square, got shape {L.shape}")
     rng = np.random.default_rng(_seed("seed", seed))
     num_anchors = min(n, max(1, int(np.floor(density * n + 0.5))))
     anchors = np.sort(rng.choice(n, size=num_anchors, replace=False))
@@ -70,20 +73,15 @@ def pwl_signal(graph: Graph, lap: np.ndarray, density: float, seed: int) -> np.n
     if num_anchors == n:
         return x
     free = np.setdiff1d(np.arange(n), anchors)
-    x[free] = np.linalg.solve(
-        L[np.ix_(free, free)], -L[np.ix_(free, anchors)] @ values
-    )
+    rhs = -(L[:, anchors] @ values)[free]
+    x[free] = splu(L[:, free][free]).solve(rhs)
     return x
 
 
 def generate_signal(
-    model: SignalModelSpec,
-    graph: Graph,
-    spectrum: Spectrum,
-    lap: np.ndarray,
-    seed: int,
+    model: SignalModelSpec, spectrum: Spectrum, lap: csc_matrix, seed: int
 ) -> np.ndarray:
     """Draw one signal from the configured model family with the given seed."""
     if model.kind == "gmrf":
         return gmrf_signal(spectrum, model.eta, seed)
-    return pwl_signal(graph, lap, model.density, seed)
+    return pwl_signal(lap, model.density, seed)

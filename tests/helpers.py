@@ -1,6 +1,7 @@
 """Test-only oracles: nuclear norm, numerical rank, the nuclear-norm
-subgradient, the dense matrices of a factored variation operator and of
-a whitener, and the token-wise matrix loader and ``xml.etree`` renderer
+subgradient, the dense Laplacian of a graph and its harmonic extension,
+the dense matrices of a factored variation operator and of a whitener,
+and the token-wise matrix loader and ``xml.etree`` renderer
 that the package's text paths must match byte for byte.
 
 The package reads none of these; the design loop takes the polar factor
@@ -36,6 +37,26 @@ def nuclear_subgradient(M):
     """The polar factor ``U @ V.T`` of M, an element of its nuclear-norm
     subdifferential; raises ValueError for the zero matrix."""
     return _polar_factor(np.asarray(M, dtype=float))[0]
+
+
+def dense_laplacian(graph):
+    """The n x n combinatorial Laplacian, degree matrix minus weight matrix,
+    with degrees as numpy's row sums of the dense weight matrix."""
+    u, v = graph.edges.T
+    W = np.zeros((graph.num_vertices, graph.num_vertices))
+    W[u, v] = W[v, u] = graph.weights
+    return np.diag(W.sum(axis=1)) - W
+
+
+def dense_harmonic_extension(L, anchors, values):
+    """The signal equal to ``values`` on ``anchors`` whose Laplacian vanishes
+    elsewhere, by ``np.linalg.solve`` of the dense free block."""
+    n = L.shape[0]
+    x = np.zeros(n)
+    x[anchors] = values
+    free = np.setdiff1d(np.arange(n), anchors)
+    x[free] = np.linalg.solve(L[np.ix_(free, free)], -L[np.ix_(free, anchors)] @ values)
+    return x
 
 
 def dense_whitener(whitener):

@@ -70,7 +70,7 @@ def _benchmark_trials(cfg):
         graph = random_sensor_graph(cfg.n, cfg.graph_k, graph_seed)
         lap = laplacian(graph)
         spectrum = eigendecompose(lap)
-        yield spectrum, generate_signal(cfg.model, graph, spectrum, lap, seed=signal_seed)
+        yield spectrum, generate_signal(cfg.model, spectrum, lap, seed=signal_seed)
 
 
 def _benchmark_means(cfg):
@@ -334,7 +334,7 @@ def test_criterion_09_signal_model_statistics():
 
     pwl_graph = random_sensor_graph(32, 6, seed=91)
     L = laplacian(pwl_graph)
-    x = pwl_signal(pwl_graph, L, 0.25, seed=92)
+    x = pwl_signal(L, 0.25, seed=92)
     anchor_rng = np.random.default_rng(92)
     anchors = np.sort(anchor_rng.choice(32, size=8, replace=False))
     free = np.setdiff1d(np.arange(32), anchors)

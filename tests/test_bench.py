@@ -107,7 +107,7 @@ class TestSeeds:
         "entry",
         [
             lambda g, spec, seed: gmrf_signal(spec, 0.1, seed),
-            lambda g, spec, seed: pwl_signal(g, laplacian(g), 0.25, seed),
+            lambda g, spec, seed: pwl_signal(laplacian(g), 0.25, seed),
             lambda g, spec, seed: random_vertex_selection(8, 2, seed),
             lambda g, spec, seed: mix_seed(seed, 0),
         ],
@@ -149,8 +149,8 @@ class TestSeeds:
             gmrf_signal(spectrum, 0.1, top), gmrf_signal(spectrum, 0.1, 2**64 - 1)
         )
         np.testing.assert_array_equal(
-            pwl_signal(graph, laplacian(graph), 0.25, np.int64(4)),
-            pwl_signal(graph, laplacian(graph), 0.25, 4),
+            pwl_signal(laplacian(graph), 0.25, np.int64(4)),
+            pwl_signal(laplacian(graph), 0.25, 4),
         )
 
     def test_trial_seeds_independent_streams(self):
@@ -281,12 +281,12 @@ class TestGraphSetupCache:
     def test_cached_arrays_are_read_only(self):
         run_trial(self.FIXED, 0)
         graph_seed = trial_seeds(self.FIXED, 0)[0]
-        graph, lap, spectrum, vo = _graph_setup(
+        lap, spectrum, vo = _graph_setup(
             self.FIXED.n, self.FIXED.graph_k, graph_seed, self.FIXED.response
         )
         assert _graph_setup.cache_info().hits == 1
         arrays = (
-            graph.edges, graph.weights, graph.coordinates, lap,
+            lap.data, lap.indices, lap.indptr,
             spectrum.eigenvalues, spectrum.eigenvectors, vo.values, vo.basis,
         )
         for array in arrays:

@@ -514,7 +514,7 @@ class TestExperimentConfigFile:
             ),
             (
                 "n 24\nk 4\ndesign.max_iter 0\n",
-                "config key design.max_iter: max_iter must be positive, got 0",
+                "config key design.max_iter: max_iter must be at least 1, got 0",
             ),
         ],
         ids=["k-too-large", "k-zero", "graph_k", "n", "epsilon", "max_iter"],

@@ -186,7 +186,7 @@ class TestGraphValidation:
         g = Graph(1, [], [])
         assert g.edges.shape == (0, 2) and g.edges.dtype == np.intp
         assert g.weights.shape == (0,)
-        np.testing.assert_array_equal(laplacian(g), [[0.0]])
+        np.testing.assert_array_equal(laplacian(g).toarray(), [[0.0]])
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="not connected"):
@@ -216,7 +216,7 @@ class TestGraphValidation:
     def test_weight_matrix_symmetric(self):
         """The off-diagonal of the Laplacian is minus the symmetric weight matrix."""
         g = Graph(3, [(0, 1), (1, 2)], [2.0, 0.5])
-        L = laplacian(g)
+        L = laplacian(g).toarray()
         W = np.diag(np.diag(L)) - L
         np.testing.assert_array_equal(W, W.T)
         assert W[0, 1] == 2.0 and W[1, 2] == 0.5 and W[0, 2] == 0.0
@@ -324,12 +324,12 @@ class TestRandomSensorGraph:
 class TestLaplacian:
     def test_path_graph_p2(self):
         """P2 with unit weight: [[1,-1],[-1,1]] by definition."""
-        L = laplacian(Graph(2, [(0, 1)], [1.0]))
+        L = laplacian(Graph(2, [(0, 1)], [1.0])).toarray()
         np.testing.assert_array_equal(L, [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_row_sums_vanish(self):
         g = random_sensor_graph(48, 5, seed=4)
-        L = laplacian(g)
+        L = laplacian(g).toarray()
         ones = np.ones(48)
         scale = np.max(np.diag(L))
         assert np.max(np.abs(L @ ones)) <= 1e-12 * scale
@@ -361,7 +361,7 @@ class TestEigendecompose:
 
     def test_reconstruction_residual(self):
         g = random_sensor_graph(16, 4, seed=3)
-        L = laplacian(g)
+        L = laplacian(g).toarray()
         spectrum = eigendecompose(L)
         rebuilt = (spectrum.eigenvectors * spectrum.eigenvalues) @ spectrum.eigenvectors.T
         lam_max = spectrum.eigenvalues[-1]

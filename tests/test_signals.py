@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import dense_operator
+from helpers import dense_harmonic_extension, dense_laplacian, dense_operator
 
 from graphsamp import (
     SignalModelSpec,
@@ -87,14 +87,14 @@ class TestPwlSignal:
         g = random_sensor_graph(32, 5, seed=2)
         L = laplacian(g)
         np.testing.assert_array_equal(
-            pwl_signal(g, L, 0.25, seed=3), pwl_signal(g, L, 0.25, seed=3)
+            pwl_signal(L, 0.25, seed=3), pwl_signal(L, 0.25, seed=3)
         )
 
     def test_full_density_is_pure_noise(self):
         """density = 1 anchors every vertex: values are the raw uniforms."""
         g = random_sensor_graph(8, 3, seed=4)
         L = laplacian(g)
-        x = pwl_signal(g, L, 1.0, seed=5)
+        x = pwl_signal(L, 1.0, seed=5)
         rng = np.random.default_rng(5)
         rng.choice(8, size=8, replace=False)
         expected = rng.uniform(-1.0, 1.0, size=8)
@@ -104,7 +104,7 @@ class TestPwlSignal:
         """(Lx) vanishes off anchors: direct-solve oracle at 1e-8 of ||x||_max."""
         g = random_sensor_graph(32, 5, seed=6)
         L = laplacian(g)
-        x = pwl_signal(g, L, 0.25, seed=7)
+        x = pwl_signal(L, 0.25, seed=7)
         rng = np.random.default_rng(7)
         anchors = np.sort(rng.choice(32, size=8, replace=False))
         free = np.setdiff1d(np.arange(32), anchors)
@@ -115,7 +115,7 @@ class TestPwlSignal:
         g = random_sensor_graph(40, 5, seed=8)
         L = laplacian(g)
         for seed in range(5):
-            x = pwl_signal(g, L, 0.2, seed=seed)
+            x = pwl_signal(L, 0.2, seed=seed)
             rng = np.random.default_rng(seed)
             anchors = np.sort(rng.choice(40, size=8, replace=False))
             values = x[anchors]
@@ -125,26 +125,40 @@ class TestPwlSignal:
     def test_tiny_density_keeps_one_anchor(self):
         g = random_sensor_graph(16, 4, seed=9)
         L = laplacian(g)
-        x = pwl_signal(g, L, 0.001, seed=10)
+        x = pwl_signal(L, 0.001, seed=10)
         # one anchor: the harmonic extension of a single value is constant
         np.testing.assert_allclose(x, x[0], atol=1e-10)
+
+    @pytest.mark.parametrize("density", [1.0, 0.001, 0.25])
+    @pytest.mark.parametrize("n, k, graph_seed", [(16, 4, 1), (64, 6, 2), (256, 6, 3)])
+    def test_matches_dense_harmonic_solve(self, n, k, graph_seed, density):
+        """The sparse LU solve on the CSC Laplacian equals the dense solve on
+        the dense Laplacian to 1e-12 relative, for all anchors, one, and a quarter."""
+        g = random_sensor_graph(n, k, seed=graph_seed)
+        x = pwl_signal(laplacian(g), density, seed=graph_seed + 100)
+        rng = np.random.default_rng(graph_seed + 100)
+        num_anchors = min(n, max(1, int(np.floor(density * n + 0.5))))
+        anchors = np.sort(rng.choice(n, size=num_anchors, replace=False))
+        values = rng.uniform(-1.0, 1.0, size=num_anchors)
+        expected = dense_harmonic_extension(dense_laplacian(g), anchors, values)
+        assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_bad_density_rejected(self):
         g = random_sensor_graph(8, 3, seed=11)
         L = laplacian(g)
         with pytest.raises(ValueError, match="density"):
-            pwl_signal(g, L, 0.0, seed=0)
+            pwl_signal(L, 0.0, seed=0)
 
 
 class TestGenerateSignal:
     def test_dispatch_and_seed_override(self, small_graph):
-        g, L, spectrum = small_graph
+        _, L, spectrum = small_graph
         model = SignalModelSpec("gmrf", eta=0.1)
         np.testing.assert_array_equal(
-            generate_signal(model, g, spectrum, L, seed=9),
+            generate_signal(model, spectrum, L, seed=9),
             gmrf_signal(spectrum, 0.1, 9),
         )
         pwl = SignalModelSpec("pwl", density=0.25)
         np.testing.assert_array_equal(
-            generate_signal(pwl, g, spectrum, L, seed=4), pwl_signal(g, L, 0.25, 4)
+            generate_signal(pwl, spectrum, L, seed=4), pwl_signal(L, 0.25, 4)
         )

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import dense_operator, dense_whitener
+from helpers import dense_laplacian, dense_operator, dense_whitener
 
 from graphsamp import (
     Graph,
@@ -20,7 +20,6 @@ from graphsamp import (
     save_signal,
 )
 from graphsamp.cli import main
-from graphsamp.graphs import sparse_laplacian
 from graphsamp.variation import VariationOperator, _largest_eigenvalue, build_sparse_variation_operator
 
 
@@ -89,7 +88,7 @@ class TestBuildVariationOperator:
         vo = build_variation_operator(eigendecompose(lap), SpectralResponse(1.0, 0.1))
         rebuilt = (vo.basis * vo.values) @ vo.basis.T
         assert np.max(np.abs(rebuilt - dense_operator(vo))) <= 1e-8 * vo.values.max()
-        assert np.max(np.abs(rebuilt - (lap + 0.1 * np.eye(20)))) <= 1e-8 * vo.values.max()
+        assert np.max(np.abs(rebuilt - (lap.toarray() + 0.1 * np.eye(20)))) <= 1e-8 * vo.values.max()
 
 
 class TestWhitener:
@@ -224,9 +223,9 @@ class TestSparseLaplacian:
     @pytest.mark.parametrize("n", [2, 24, 256])
     def test_matches_dense_laplacian(self, n):
         g = random_sensor_graph(n, min(6, n - 1), seed=n)
-        lap = sparse_laplacian(g)
+        lap = laplacian(g)
         assert lap.format == "csc"
-        np.testing.assert_allclose(lap.toarray(), laplacian(g), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(lap.toarray(), dense_laplacian(g), rtol=0, atol=1e-14)
         assert (lap - lap.T).count_nonzero() == 0
 
 
@@ -241,7 +240,7 @@ class TestSparseVariationOperator:
         g = random_sensor_graph(n, 6, seed=n)
         response = SpectralResponse(slope, offset)
         vo = build_variation_operator(eigendecompose(laplacian(g)), response)
-        sparse = build_sparse_variation_operator(sparse_laplacian(g), response)
+        sparse = build_sparse_variation_operator(laplacian(g), response)
         assert sparse.dim == n
         B = np.random.default_rng(n).standard_normal((n, 8))
         expected = vo.solve_gram(B)
@@ -251,7 +250,7 @@ class TestSparseVariationOperator:
 
     def test_solve_gram_vector_and_dimension_mismatch(self):
         g = random_sensor_graph(16, 6, seed=4)
-        sparse = build_sparse_variation_operator(sparse_laplacian(g), SpectralResponse())
+        sparse = build_sparse_variation_operator(laplacian(g), SpectralResponse())
         vo = build_variation_operator(eigendecompose(laplacian(g)), SpectralResponse())
         b = np.arange(16.0)
         np.testing.assert_allclose(sparse.solve_gram(b), vo.solve_gram(b), rtol=1e-12)
@@ -263,7 +262,7 @@ class TestSparseVariationOperator:
         """ARPACK's λ_max from the fixed start; a 1 x 1 matrix is its own."""
         g = random_sensor_graph(n, min(6, n - 1), seed=n) if n > 1 else Graph(1, [], [])
         expected = eigendecompose(laplacian(g)).eigenvalues[-1]
-        assert abs(_largest_eigenvalue(sparse_laplacian(g)) - expected) <= 1e-12 * max(1.0, expected)
+        assert abs(_largest_eigenvalue(laplacian(g)) - expected) <= 1e-12 * max(1.0, expected)
 
     @pytest.mark.parametrize(
         "slope, offset, message",
@@ -285,7 +284,7 @@ class TestSparseVariationOperator:
                 build_variation_operator(eigendecompose(laplacian(g)), response)
         elif route == "sparse":
             with pytest.raises(ValueError, match=message):
-                build_sparse_variation_operator(sparse_laplacian(g), response)
+                build_sparse_variation_operator(laplacian(g), response)
         else:
             save_graph(g, tmp_path / "g.txt")
             save_matrix(np.array([[1.0], [0.5]]), tmp_path / "S.txt")
@@ -309,7 +308,7 @@ class TestSparseVariationOperator:
         with pytest.raises(ValueError, match=message):
             build_variation_operator(eigendecompose(laplacian(g)), response)
         with pytest.raises(ValueError, match=message):
-            build_sparse_variation_operator(sparse_laplacian(g), response)
+            build_sparse_variation_operator(laplacian(g), response)
 
     def test_build_and_pipeline_allocate_no_square_array(self):
         """Laplacian, factor and pipeline at n=1024, K=128 peak below one n x n
@@ -320,7 +319,7 @@ class TestSparseVariationOperator:
         S = np.random.default_rng(0).standard_normal((n, 128))
         tracemalloc.start()
         try:
-            sparse = build_sparse_variation_operator(sparse_laplacian(g), SpectralResponse())
+            sparse = build_sparse_variation_operator(laplacian(g), SpectralResponse())
             build_pipeline(sparse, S)
             _, peak = tracemalloc.get_traced_memory()
         finally:
