@@ -317,38 +317,39 @@ _CONFIG_PARSERS = {
 }
 
 
+def _set(obj, key: str, value):
+    """``obj`` with the field at dotted ``key`` replaced, so its checks run again."""
+    head, _, rest = key.partition(".")
+    return replace(obj, **{head: _set(getattr(obj, head), rest, value) if rest else value})
+
+
 def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
-    """Build an ExperimentConfig from flat string key-value pairs."""
+    """Build an ExperimentConfig from flat string key-value pairs, naming a refused key."""
     unknown = sorted(set(raw) - set(_CONFIG_PARSERS))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     for required in ("n", "k"):
         if required not in raw:
             raise ValueError(f"config is missing required key {required!r}")
-    parsed: dict[str, dict] = {"": {}, "response": {}, "model": {}, "design": {}}
+    values = {}
     for key, text in raw.items():
-        section, _, name = key.rpartition(".")
         with _naming(f"config key {key}"):
-            parsed[section][name] = _CONFIG_PARSERS[key](text)
-    top, design = parsed[""], parsed["design"]
+            values[key] = _CONFIG_PARSERS[key](text)
     with _naming("config key n"):
-        n = _vertex_count("n", top.pop("n"))
+        n = _vertex_count("n", values.pop("n"))
     with _naming("config key k"):
-        num_samples = _sample_count("k", top.pop("k"), n)
+        num_samples = _sample_count("k", values.pop("k"), n)
     with _naming("config key graph_k"):
-        _neighbour_count("graph_k", top.get("graph_k", ExperimentConfig.graph_k), n)
-    with _naming("config key design.epsilon"):
-        knobs = DesignConfig(_radius(design.pop("epsilon", "auto"), n, num_samples))
-    with _naming("config key design.max_iter"):
-        knobs = replace(knobs, **design)
-    return ExperimentConfig(
-        n=n,
-        num_samples=num_samples,
-        response=SpectralResponse(**parsed["response"]),
-        model=SignalModelSpec(**parsed["model"]),
-        design=knobs,
-        **top,
-    )
+        graph_k = _neighbour_count("graph_k", values.pop("graph_k", ExperimentConfig.graph_k), n)
+    epsilon = values.pop("design.epsilon", "auto")
+    # 'auto' is sqrt(n * k), out of range only when n is
+    with _naming(f"config key {'n' if epsilon == 'auto' else 'design.epsilon'}"):
+        design = DesignConfig(_radius(epsilon, n, num_samples))
+    cfg = ExperimentConfig(n, num_samples, graph_k, design=design)
+    for key, value in values.items():  # each set on a valid config, so only it can fail
+        with _naming(f"config key {key}"):
+            cfg = _set(cfg, key, value)
+    return cfg
 
 
 def load_experiment_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:

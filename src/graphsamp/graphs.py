@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, csc_matrix, issparse
+from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .seeds import _UINT64_MASK, _count, _integer, _neighbour_count, _seed, _vertex_count
@@ -146,9 +146,8 @@ def random_sensor_graph(n: int, k: int, seed: int) -> Graph:
     for attempt in range(MAX_PLACEMENT_ATTEMPTS):
         rng = np.random.default_rng((seed + attempt) & _UINT64_MASK)
         points = rng.random((n, 2))
-        delta = points[:, None, :] - points[None, :, :]
-        dist = np.sqrt(np.sum(delta * delta, axis=2))
-        del delta
+        x, y = points.T
+        dist = np.sqrt((x[:, None] - x) ** 2 + (y[:, None] - y) ** 2)
         rows = np.repeat(np.arange(n), k)
         cols = _nearest_neighbours(dist, k).ravel()
         sigma = float(np.mean(dist[rows, cols]))
@@ -185,26 +184,26 @@ def laplacian(graph: Graph) -> csc_matrix:
 
 
 def eigendecompose(matrix) -> Spectrum:
-    """Full spectral decomposition of a symmetric matrix, dense or sparse.
+    """Full spectral decomposition of a symmetric matrix, read as CSC.
 
-    A sparse matrix, such as ``laplacian``'s, is densified here for
-    ``eigh``; that is the one n x n copy of it the program makes.
-    Eigenvalues come back ascending with orthonormal eigenvectors. Each
-    eigenvector's sign is fixed deterministically: the entry of largest
-    magnitude (lowest index on ties) is made positive.
+    The finite and symmetry checks read only the nonzeros, and ``eigh``
+    gets the one n x n copy of the matrix, so set-up peaks at 3 n x n
+    arrays. Eigenvalues ascend with orthonormal eigenvectors, each signed
+    in place so its largest-magnitude entry (lowest index on ties) is positive.
 
     Raises:
         ValueError: if the input is not square, finite and symmetric.
     """
-    M = np.asarray(matrix.toarray() if issparse(matrix) else matrix, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    shape = np.shape(matrix)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
+    A = csc_matrix(matrix, dtype=float)
+    if not np.all(np.isfinite(A.data)):
         raise ValueError("matrix has a non-finite entry (nan or inf)")
-    scale = max(1.0, float(np.max(np.abs(M))))
-    if float(np.max(np.abs(M - M.T))) > 1e-10 * scale:
+    scale = float(np.max(np.abs(A.data), initial=1.0))
+    if abs(A - A.T).max() > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
-    eigenvalues, vectors = np.linalg.eigh(M)
+    eigenvalues, vectors = np.linalg.eigh(A.toarray())
     lead = np.argmax(np.abs(vectors), axis=0)
-    signs = np.where(vectors[lead, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
-    return Spectrum(eigenvalues=eigenvalues, eigenvectors=vectors * signs)
+    vectors *= np.where(vectors[lead, np.arange(shape[0])] < 0.0, -1.0, 1.0)
+    return Spectrum(eigenvalues=eigenvalues, eigenvectors=vectors)

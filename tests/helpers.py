@@ -1,5 +1,6 @@
 """Test-only oracles: nuclear norm, numerical rank, the nuclear-norm
-subgradient, the dense Laplacian of a graph and its harmonic extension,
+subgradient, the sensor graph built from its n x n x 2 coordinate
+differences, the dense Laplacian of a graph and its harmonic extension,
 the dense matrices of a factored variation operator and of a whitener,
 and the token-wise matrix loader and ``xml.etree`` renderer
 that the package's text paths must match byte for byte.
@@ -16,8 +17,9 @@ import numpy as np
 
 from graphsamp.design import _polar_factor
 from graphsamp.fileio import _finite
+from graphsamp.graphs import MAX_PLACEMENT_ATTEMPTS, Graph
 from graphsamp.render import _CANVAS, _HIGH, _LOW, _MARGIN, _MID, _VERTEX_RADIUS
-from graphsamp.seeds import _naming
+from graphsamp.seeds import _UINT64_MASK, _naming
 
 
 def nuclear_norm(M):
@@ -37,6 +39,29 @@ def nuclear_subgradient(M):
     """The polar factor ``U @ V.T`` of M, an element of its nuclear-norm
     subdifferential; raises ValueError for the zero matrix."""
     return _polar_factor(np.asarray(M, dtype=float))[0]
+
+
+def dense_sensor_graph(n, k, seed):
+    """``random_sensor_graph`` by its dense definition: distances summed over
+    the n x n x 2 coordinate differences, each vertex's k nearest by a stable
+    sort of its whole row, and a placement ``Graph`` refuses redrawn from
+    seed + attempt."""
+    for attempt in range(MAX_PLACEMENT_ATTEMPTS):
+        points = np.random.default_rng((seed + attempt) & _UINT64_MASK).random((n, 2))
+        delta = points[:, None, :] - points[None, :, :]
+        dist = np.sqrt(np.sum(delta * delta, axis=2))
+        np.fill_diagonal(dist, np.inf)
+        rows = np.repeat(np.arange(n), k)
+        cols = np.argsort(dist, axis=1, kind="stable")[:, :k].ravel()
+        sigma = float(np.mean(dist[rows, cols]))
+        keys = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
+        pairs = np.column_stack(np.divmod(keys, n))
+        weights = np.exp(-dist[pairs[:, 0], pairs[:, 1]] ** 2 / (2.0 * sigma**2))
+        try:
+            return Graph(n, pairs, weights, points)
+        except ValueError:  # not connected, or every point coincides
+            continue
+    raise RuntimeError(f"no connected placement in {MAX_PLACEMENT_ATTEMPTS} attempts")
 
 
 def dense_laplacian(graph):

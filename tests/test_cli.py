@@ -424,7 +424,28 @@ class TestBenchCommand:
         cfg.write_text(f"n {10**400}\nk 5\n")
         rc = main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: config key design.epsilon: ")
+        assert capsys.readouterr().err.startswith("error: config key n: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--trials", "0"], "error: config key trials: trials must be at least 1, got 0\n"),
+            (
+                ["--seed", "-1"],
+                "error: config key master_seed: master_seed must be an integer in [0, 2**64), "
+                "got -1\n",
+            ),
+        ],
+        ids=["trials", "seed"],
+    )
+    def test_override_flag_names_its_key(self, tmp_path, capsys, flags, message):
+        """A flag overrides a config key, so its refusal names that key."""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n 24\nk 6\ngraph_k 4\n")
+        rc = main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "o"), *flags])
+        assert rc == 1
+        assert capsys.readouterr().err == message
         assert not (tmp_path / "o").exists()
 
 

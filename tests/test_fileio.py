@@ -516,8 +516,36 @@ class TestExperimentConfigFile:
                 "n 24\nk 4\ndesign.max_iter 0\n",
                 "config key design.max_iter: max_iter must be at least 1, got 0",
             ),
+            ("n 24\nk 4\ntrials 0\n", "config key trials: trials must be at least 1, got 0"),
+            (
+                "n 24\nk 4\nmaster_seed -1\n",
+                "config key master_seed: master_seed must be an integer in [0, 2**64), got -1",
+            ),
+            (
+                "n 24\nk 4\nbaseline x\n",
+                "config key baseline: baseline must be one of ('random_vertex',), got 'x'",
+            ),
+            (
+                "n 24\nk 4\nmodel.kind foo\n",
+                "config key model.kind: model kind must be one of ('gmrf', 'pwl'), got 'foo'",
+            ),
+            (
+                "n 24\nk 4\nmodel.eta 0\n",
+                "config key model.eta: eta must be positive and finite, got 0.0",
+            ),
+            (
+                "n 24\nk 4\nmodel.density 2\n",
+                "config key model.density: density must lie in (0, 1], got 2.0",
+            ),
+            (
+                f"n {10**400}\nk 5\ndesign.epsilon auto\n",
+                "config key n: int too large to convert to float",
+            ),
         ],
-        ids=["k-too-large", "k-zero", "graph_k", "n", "epsilon", "max_iter"],
+        ids=[
+            "k-too-large", "k-zero", "graph_k", "n", "epsilon", "max_iter", "trials",
+            "master_seed", "baseline", "model.kind", "model.eta", "model.density", "auto-radius",
+        ],
     )
     def test_out_of_range_value_names_key(self, tmp_path, lines, message):
         """A size or design value out of range is reported after the key the
@@ -537,7 +565,7 @@ class TestExperimentConfigFile:
         cfg = load_experiment_config(path)
         assert cfg.design.epsilon == math.sqrt(5 * 10**20)
         path.write_text(f"n {10**400}\nk 5\n")
-        with pytest.raises(ValueError, match="^config key design.epsilon: "):
+        with pytest.raises(ValueError, match="^config key n: "):
             load_experiment_config(path)
 
     @settings(max_examples=300, deadline=None)

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import dense_sensor_graph
+from scipy.sparse import csc_matrix
 
 from graphsamp import Graph, eigendecompose, laplacian, random_sensor_graph
 from graphsamp.graphs import _nearest_neighbours
@@ -304,6 +306,19 @@ class TestRandomSensorGraph:
         np.testing.assert_array_equal(_nearest_neighbours(dist, 2), expected)
         np.testing.assert_array_equal(expected[3], [0, 1])
 
+    @pytest.mark.parametrize(
+        "n, k, seed",
+        [(2, 1, 5), (20, 19, 0), (97, 96, 2), (40, 2, 0), (24, 2, 1), (64, 6, 3), (256, 6, 1)],
+    )
+    def test_matches_dense_oracle_bit_for_bit(self, n, k, seed):
+        """Edges, weights and coordinates equal, bit for bit, those of the oracle
+        that sums the n x n x 2 differences and stably sorts whole rows; k = n - 1
+        and placements redrawn for connectivity (40, 2, 0 and 24, 2, 1) included."""
+        g, expected = random_sensor_graph(n, k, seed), dense_sensor_graph(n, k, seed)
+        np.testing.assert_array_equal(g.edges, expected.edges)
+        assert g.weights.tobytes() == expected.weights.tobytes()
+        assert g.coordinates.tobytes() == expected.coordinates.tobytes()
+
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
             random_sensor_graph(1, 1, seed=0)
@@ -401,3 +416,48 @@ class TestEigendecompose:
         M[1, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             eigendecompose(M)
+
+    def test_sparse_and_dense_input_give_identical_bits(self):
+        """Both are read as the same CSC matrix, so eigh sees the same array."""
+        L = laplacian(random_sensor_graph(48, 5, seed=2))
+        a, b = eigendecompose(L), eigendecompose(L.toarray())
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+        assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 2, 2)])
+    def test_other_dimensions_rejected_as_not_square(self, shape):
+        """A 1-D input is not read as a one-row matrix, even of length 1."""
+        with pytest.raises(ValueError) as info:
+            eigendecompose(np.ones(shape))
+        assert str(info.value) == f"expected a square matrix, got shape {shape}"
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [([[1.0, np.nan], [np.nan, 1.0]], "non-finite"), ([[0.0, 1.0], [0.0, 0.0]], "symmetric")],
+    )
+    def test_sparse_input_checked(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            eigendecompose(csc_matrix(np.array(entries)))
+
+
+def _peak_arrays(n, func, *args):
+    """Traced peak of ``func(*args)`` in n x n float64 arrays."""
+    tracemalloc.start()
+    try:
+        func(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (n * n * 8)
+
+
+class TestSetupMemory:
+    def test_graph_and_spectrum_hold_few_dense_arrays(self):
+        """At n=512 the graph stage holds the distances and argpartition's index
+        array, and eigendecompose the dense copy, eigh's eigenvectors and the
+        sign search's |vectors|; an n x n x 2 difference array, or a densified
+        symmetry check, exceeds these bounds (5 and 4 arrays)."""
+        random_sensor_graph(64, 6, seed=0)
+        assert _peak_arrays(512, random_sensor_graph, 512, 6, 0) < 2.5
+        lap = laplacian(random_sensor_graph(512, 6, seed=0))
+        assert _peak_arrays(512, eigendecompose, lap) < 3.5
