@@ -28,7 +28,7 @@ from .seeds import (
     _count, _integer, _naming, _neighbour_count, _sample_count, _seed, _vertex_count, mix_seed,
 )
 from .signals import SignalModelSpec, generate_signal
-from .variation import SpectralResponse, build_variation_operator
+from .variation import SpectralResponse, _check_response, build_variation_operator
 
 METHOD_PROPOSED = "proposed"
 METHOD_RANDOM_VERTEX = "random_vertex"
@@ -349,6 +349,10 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     for key, value in values.items():  # each set on a valid config, so only it can fail
         with _naming(f"config key {key}"):
             cfg = _set(cfg, key, value)
+    # λ = 0 is in every Laplacian's spectrum; a response that fails only at
+    # λ_max is refused by the trial that knows λ_max
+    with _naming("config key response.slope/response.offset"):
+        _check_response(cfg.response, 0.0)
     return cfg
 
 

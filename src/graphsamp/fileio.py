@@ -12,12 +12,17 @@ Floats are written with ``repr`` so every file round-trips exactly. A
 loader reports every malformed or non-finite value with an error that
 names the file.
 
-A matrix body is parsed in one C pass, ``np.fromstring(body, sep=" ")``,
-which makes no Python object per entry. Where that pass stops at text it
-cannot read, finds the wrong entry count or reads a non-finite value,
-the body is read again with one ``float()`` per token, which accepts what
-``float()`` accepts (``1_0``) and raises the same error, naming the count,
-the token or the non-finite value.
+Each block of numbers is read in one C pass that makes no Python object
+per value: a matrix body by ``np.fromstring(body, sep=" ")``; a graph's
+``coords`` block, its edge block (a structured row of two ``intp``
+indices and a float weight, so no index is rounded) and a signal's
+values by one ``np.loadtxt`` each, on the stripped lines. A pass misses
+where it raises ValueError, warns, or finds the wrong number of columns
+or entries (or, in a matrix, a non-finite value). The block is then read
+again token by token with ``int()`` and ``float()``, which accept more
+than numpy does (``1_0``, ``٣``, ints beyond int64) and raise the error
+the file gets, naming its line, entry count, token or non-finite value.
+So either pass gives the same bits and the same message.
 """
 
 from __future__ import annotations
@@ -53,6 +58,10 @@ def save_graph(graph: Graph, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+# an edge line as np.loadtxt reads it: integer indices, so none is rounded
+_EDGE_ROW = np.dtype([("u", np.intp), ("v", np.intp), ("w", float)])
+
+
 def load_graph(path) -> Graph:
     with _naming(path):
         lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
@@ -69,23 +78,42 @@ def load_graph(path) -> Graph:
             pos += 1
             if len(lines) < pos + n:
                 raise ValueError(f"coords block needs {n} lines")
-            coords = []
-            for ln in lines[pos : pos + n]:
-                parts = ln.split()
-                if len(parts) != 2:
-                    raise ValueError(f"bad coords line {ln!r}")
-                coords.append((float(parts[0]), float(parts[1])))
-            coords = np.array(coords)
+            block = lines[pos : pos + n]
+            coords = _c_pass(np.loadtxt, block, comments=None, ndmin=2)
+            if coords is None or coords.shape[1] != 2:
+                coords = _parse_coords(block)
             pos += n
-        pairs = np.empty((len(lines) - pos, 2), dtype=np.intp)
-        weights = np.empty(len(lines) - pos)
-        for i, ln in enumerate(lines[pos:]):
-            parts = ln.split()
-            if len(parts) != 3:
-                raise ValueError(f"bad edge line {ln!r}")
-            pairs[i] = int(parts[0]), int(parts[1])
-            weights[i] = float(parts[2])
+        block = lines[pos:]
+        rows = _c_pass(np.loadtxt, block, dtype=_EDGE_ROW, comments=None, ndmin=1)
+        if rows is None:
+            pairs, weights = _parse_edges(block)
+        else:
+            pairs, weights = np.column_stack((rows["u"], rows["v"])), rows["w"]
         return Graph(n, pairs, weights, coords)
+
+
+def _parse_coords(block: list[str]) -> np.ndarray:
+    """The ``coords`` block read line by line; errors name the first bad line."""
+    coords = []
+    for ln in block:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise ValueError(f"bad coords line {ln!r}")
+        coords.append((float(parts[0]), float(parts[1])))
+    return np.array(coords)
+
+
+def _parse_edges(block: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The edge block read line by line; errors name the first bad line."""
+    pairs = np.empty((len(block), 2), dtype=np.intp)
+    weights = np.empty(len(block))
+    for i, ln in enumerate(block):
+        parts = ln.split()
+        if len(parts) != 3:
+            raise ValueError(f"bad edge line {ln!r}")
+        pairs[i] = int(parts[0]), int(parts[1])
+        weights[i] = float(parts[2])
+    return pairs, weights
 
 
 def save_matrix(matrix: np.ndarray, path) -> None:
@@ -107,27 +135,27 @@ def load_matrix(path) -> np.ndarray:
             raise ValueError(f"header '{parts[0]} {parts[1]}' has a negative dimension")
         # split() leaves no whitespace-only body: it is absent or starts with a token
         body = parts[2] if len(parts) == 3 else ""
-        values = _parse_floats(body)
+        # not np.fromstring's to read: it reads some blank strings as [-1.]
+        values = _c_pass(np.fromstring, body, sep=" ") if body else np.empty(0)
         if values is None or values.size != rows * cols or not np.all(np.isfinite(values)):
             values = _parse_tokens(body, rows, cols)
         return values.reshape(rows, cols)
 
 
-def _parse_floats(body: str) -> np.ndarray | None:
-    """The whitespace-separated decimals of ``body`` in one C pass, or None
-    where it stops at text it cannot read.
+def _c_pass(parse, *args, **kwargs) -> np.ndarray | None:
+    """``parse(*args, **kwargs)``, a numpy parse of text in one C pass, or
+    None where it raises ValueError or warns.
 
-    numpy 2 raises ValueError there; older numpy warns with a
-    DeprecationWarning and returns the values before it.
+    Every warning is a miss: numpy before 2 warns where ``np.fromstring``
+    stops at text it cannot read and returns the values before it, and
+    where ``np.loadtxt`` reads an integer field such as ``1.0`` through
+    float; ``np.loadtxt`` warns of input with no lines.
     """
-    if not body:
-        # not np.fromstring's to read: it reads some blank strings as [-1.]
-        return np.empty(0)
     with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
+        warnings.simplefilter("error")
         try:
-            return np.fromstring(body, sep=" ")
-        except (ValueError, DeprecationWarning):
+            return parse(*args, **kwargs)
+        except (ValueError, Warning):
             return None
 
 
@@ -164,7 +192,10 @@ def load_signal(path) -> np.ndarray:
             raise ValueError(f"header '{lines[0]}' has a negative length")
         if len(lines) - 1 != length:
             raise ValueError(f"expected {length} values, found {len(lines) - 1}")
-        return _finite(np.array([float(ln) for ln in lines[1:]]))
+        values = _c_pass(np.loadtxt, lines[1:], comments=None, ndmin=2)
+        if values is None or values.shape[1] != 1:
+            values = np.array([float(ln) for ln in lines[1:]])
+        return _finite(values.ravel())
 
 
 def save_trace_csv(design: SamplingDesign, path) -> None:

@@ -126,7 +126,7 @@ def kkt_reconstruct(
     if c.shape != (k,):
         raise ValueError(f"expected {k} samples, got shape {c.shape}")
     kkt = np.zeros((n + k, n + k))
-    kkt[:n, :n] = vo.gram()
+    kkt[:n, :n] = (vo.basis * vo.values**2) @ vo.basis.T  # F.T @ F
     kkt[:n, n:] = S
     kkt[n:, :n] = S.T
     rhs = np.zeros(n + k)

@@ -71,10 +71,6 @@ class VariationOperator:
             return self.basis @ (coeffs / inv_sq)
         return self.basis @ (coeffs / inv_sq[:, None])
 
-    def gram(self) -> np.ndarray:
-        """Materialize ``F.T @ F`` from the spectral factors."""
-        return (self.basis * self.values**2) @ self.basis.T
-
 
 def build_variation_operator(
     spectrum: Spectrum, response: SpectralResponse
@@ -168,7 +164,8 @@ def _check_response(response: SpectralResponse, lam_max: float) -> None:
     """Reject an affine response that, over a connected graph's Laplacian
     spectrum [0, lam_max], is not finite and positive or makes the operator
     numerically singular."""
-    values = np.asarray(response(np.array([0.0, lam_max])), dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and overflow are refused below
+        values = np.asarray(response(np.array([0.0, lam_max])), dtype=float)
     if values.ndim != 1 or not np.all(np.isfinite(values)):
         raise ValueError("spectral response must evaluate to finite scalars")
     if np.any(values <= 0.0):

@@ -2,8 +2,9 @@
 subgradient, the sensor graph built from its n x n x 2 coordinate
 differences, the dense Laplacian of a graph and its harmonic extension,
 the dense matrices of a factored variation operator and of a whitener,
-and the token-wise matrix loader and ``xml.etree`` renderer
-that the package's text paths must match byte for byte.
+the line-by-line graph and signal loaders, the token-wise matrix loader
+and the ``xml.etree`` renderer that the package's text paths must match
+byte for byte.
 
 The package reads none of these; the design loop takes the polar factor
 through ``graphsamp.design._polar_factor``, which ``nuclear_subgradient``
@@ -19,7 +20,7 @@ from graphsamp.design import _polar_factor
 from graphsamp.fileio import _finite
 from graphsamp.graphs import MAX_PLACEMENT_ATTEMPTS, Graph
 from graphsamp.render import _CANVAS, _HIGH, _LOW, _MARGIN, _MID, _VERTEX_RADIUS
-from graphsamp.seeds import _UINT64_MASK, _naming
+from graphsamp.seeds import _UINT64_MASK, _count, _naming
 
 
 def nuclear_norm(M):
@@ -94,6 +95,60 @@ def dense_whitener(whitener):
 def dense_operator(vo):
     """The n x n matrix ``basis @ diag(values) @ basis.T`` of a ``VariationOperator``."""
     return (vo.basis * vo.values) @ vo.basis.T
+
+
+def reference_load_graph(path):
+    """``load_graph`` with ``int()`` and ``float()`` per token, line by line."""
+    with _naming(path):
+        lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
+        lines = [ln for ln in lines if ln]
+        if not lines:
+            raise ValueError("empty graph file")
+        header = lines[0].split()
+        if len(header) != 2 or header[0] != "n":
+            raise ValueError(f"expected header 'n <num_vertices>', got {lines[0]!r}")
+        n = _count("header vertex count", int(header[1]))
+        pos = 1
+        coords = None
+        if pos < len(lines) and lines[pos] == "coords":
+            pos += 1
+            if len(lines) < pos + n:
+                raise ValueError(f"coords block needs {n} lines")
+            coords = []
+            for ln in lines[pos : pos + n]:
+                parts = ln.split()
+                if len(parts) != 2:
+                    raise ValueError(f"bad coords line {ln!r}")
+                coords.append((float(parts[0]), float(parts[1])))
+            coords = np.array(coords)
+            pos += n
+        pairs = np.empty((len(lines) - pos, 2), dtype=np.intp)
+        weights = np.empty(len(lines) - pos)
+        for i, ln in enumerate(lines[pos:]):
+            parts = ln.split()
+            if len(parts) != 3:
+                raise ValueError(f"bad edge line {ln!r}")
+            pairs[i] = int(parts[0]), int(parts[1])
+            weights[i] = float(parts[2])
+        return Graph(n, pairs, weights, coords)
+
+
+def reference_load_signal(path):
+    """``load_signal`` with one ``float()`` per line."""
+    with _naming(path):
+        lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
+        lines = [ln for ln in lines if ln]
+        if not lines:
+            raise ValueError("empty signal file")
+        header = lines[0].split()
+        if len(header) != 2 or header[0] != "n":
+            raise ValueError(f"expected header 'n <len>', got {lines[0]!r}")
+        length = int(header[1])
+        if length < 0:
+            raise ValueError(f"header '{lines[0]}' has a negative length")
+        if len(lines) - 1 != length:
+            raise ValueError(f"expected {length} values, found {len(lines) - 1}")
+        return _finite(np.array([float(ln) for ln in lines[1:]]))
 
 
 def reference_load_matrix(path):

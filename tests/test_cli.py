@@ -427,6 +427,19 @@ class TestBenchCommand:
         assert capsys.readouterr().err.startswith("error: config key n: ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("line", ["response.offset 0", "response.slope nan"])
+    def test_response_refused_before_any_trial(self, tmp_path, capsys, line):
+        """A response that fails at λ = 0, which every Laplacian has, is a
+        refused config key, not a failed trial."""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"n 24\nk 6\ngraph_k 4\n{line}\n")
+        rc = main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: config key response.slope/response.offset: spectral response must "
+        )
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [

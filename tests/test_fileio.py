@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from helpers import reference_load_matrix
+from helpers import reference_load_graph, reference_load_matrix, reference_load_signal
 
 from graphsamp import (
     ExperimentConfig,
@@ -370,6 +370,201 @@ class TestMatrixAgainstTokenLoop:
         assert str(raised.value) == f"{path}: could not convert string to float: 'abc'"
 
 
+# index tokens read by int() alone (``1_0``, ``٣``, beyond int64), by
+# neither, or by both int() and np.loadtxt's int64 field
+_ODD_INDICES = ["1_0", "1.0", "+5", "-1", "٣", "1e3", "#", "x", str(2**63)]
+# number tokens read by float() alone (digits of other scripts), and
+# comment marks, which np.loadtxt would skip unless told not to
+_ODD_NUMBERS = _ODD_TOKENS + ["٣", "１", "#", "#1"]
+# whitespace str.split() splits on within a line, and blank lines
+_LINE_SEPARATORS = [" ", "  ", "\t", "\x1f", "\xa0", "\u3000"]
+_BLANKS = ["", " ", "\t", "\u3000"]
+
+
+def _line(draw, tokens):
+    """``tokens``, each followed by drawn in-line whitespace, after a drawn indent."""
+    seps = draw(st.lists(st.sampled_from(_LINE_SEPARATORS), min_size=len(tokens),
+                         max_size=len(tokens)))
+    indent = draw(st.sampled_from(["", " ", "\t"]))
+    return indent + "".join(tok + sep for tok, sep in zip(tokens, seps))
+
+
+def _lines_text(draw, lines):
+    """``lines`` with blank lines drawn between them, as file text."""
+    out = []
+    for ln in lines:
+        if draw(st.integers(0, 5)) == 0:
+            out.append(draw(st.sampled_from(_BLANKS)))
+        out.append(ln)
+    return "\n".join(out) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+def _row(draw, good, odd, columns):
+    """A line of ``columns`` tokens drawn from ``good``; sometimes one odd
+    token, sometimes a token too few or too many."""
+    tokens = [draw(g) for g in good]
+    if draw(st.integers(0, 7)) == 0:
+        tokens[draw(st.integers(0, columns - 1))] = draw(st.sampled_from(odd))
+    if draw(st.integers(0, 11)) == 0:
+        tokens = tokens[:-1] if draw(st.booleans()) else tokens + [tokens[0]]
+    return _line(draw, tokens)
+
+
+@st.composite
+def _graph_texts(draw):
+    """Graph files: a spanning tree plus extra edges of small graphs (n = 1
+    has none), with or without a coords block of about n lines, and odd
+    tokens, separators, blank lines and column counts."""
+    n = draw(st.integers(1, 5))
+    lines = [f"n {n}"]
+    if draw(st.booleans()):
+        lines.append("coords")
+        coord = st.floats(0.0, 1.0).map(repr)
+        count = n if draw(st.integers(0, 5)) else draw(st.integers(0, n + 1))
+        lines += [_row(draw, [coord, coord], _ODD_NUMBERS, 2) for _ in range(count)]
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    if n > 1:
+        pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2))
+    weight = st.floats(1e-3, 10.0).map(repr)
+    for u, v in pairs:
+        tokens = [st.just(str(u)), st.just(str(v)), weight]
+        odd = draw(st.sampled_from([_ODD_INDICES, _ODD_NUMBERS]))
+        lines.append(_row(draw, tokens, odd, 2 if odd is _ODD_INDICES else 3))
+    return _lines_text(draw, lines)
+
+
+@st.composite
+def _signal_texts(draw):
+    """Signal files of 0 to 5 values, the header's length right or off by one."""
+    count = draw(st.integers(0, 5))
+    length = count if draw(st.integers(0, 5)) else count + draw(st.sampled_from([-1, 1]))
+    value = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    lines = [f"n {length}"] + [_row(draw, [value], _ODD_NUMBERS, 1) for _ in range(count)]
+    return _lines_text(draw, lines)
+
+
+def _same_graph(a, b):
+    if a.num_vertices != b.num_vertices or (a.coordinates is None) != (b.coordinates is None):
+        return False
+    return (
+        a.edges.dtype == b.edges.dtype
+        and np.array_equal(a.edges, b.edges)
+        and _same_bits(a.weights, b.weights)
+        and (a.coordinates is None or _same_bits(a.coordinates, b.coordinates))
+    )
+
+
+def _check_against_reference(path, load, reference, same):
+    try:
+        expected = reference(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            load(path)
+        assert str(raised.value) == str(exc)
+    else:
+        assert same(load(path), expected)
+
+
+class TestLinesAgainstLineLoop:
+    """``load_graph`` and ``load_signal`` return the bits, or raise the
+    message, of the line-by-line ``int()`` and ``float()`` loaders."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_graph_texts())
+    def test_graph_same_result(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("g") / "g.txt"
+        path.write_text(text)
+        _check_against_reference(path, load_graph, reference_load_graph, _same_graph)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_signal_texts())
+    def test_signal_same_result(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("x") / "x.txt"
+        path.write_text(text)
+        _check_against_reference(path, load_signal, reference_load_signal, _same_bits)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n 1\n", None),
+            ("n 1\ncoords\n0.5\t0.5\n", None),
+            ("n 2\n0\x1f1\xa00.5\n\n\u3000\n", None),
+            ("n 2\n+0 1 infinity\n", "edge (0, 1) weight must be positive and finite, got inf"),
+            ("n 2\n0 1 1e500\n", "edge (0, 1) weight must be positive and finite, got inf"),
+            ("n 2\n0 1 nan\n", "edge (0, 1) weight must be positive and finite, got nan"),
+            ("n 2\n0 1_0 1.0\n", "edge (0, 10) out of range for 2 vertices"),
+            ("n 2\n0 ٣ 1.0\n", "edge (0, 3) out of range for 2 vertices"),
+            ("n 2\n0 1.0 1.0\n", "invalid literal for int() with base 10: '1.0'"),
+            (f"n 2\n0 {2**63} 1.0\n", "Python int too large to convert to C long"),
+            ("n 2\n0 1 0x1p3\n", "could not convert string to float: '0x1p3'"),
+            ("n 2\n# 0 1 1.0\n0 1 1.0\n", "bad edge line '# 0 1 1.0'"),
+            ("n 2\n0 1 x\n", "could not convert string to float: 'x'"),
+            ("n 2\ncoords\n0.0 0.0\n0 1 1.0\n", "bad coords line '0 1 1.0'"),
+            ("n 3\ncoords\n0.0 0.0\n", "coords block needs 3 lines"),
+            ("n 2\n0 1 1.0 2.0\n", "bad edge line '0 1 1.0 2.0'"),
+        ],
+        ids=[
+            "single-vertex", "single-vertex-coords", "separators", "plus-infinity", "overflow",
+            "nan", "underscore", "arabic-digit", "float-index", "beyond-int64", "hex-float",
+            "comment-mark", "bad-weight", "edge-in-coords-block", "short-coords-block",
+            "long-edge",
+        ],
+    )
+    def test_pinned_graph_cases(self, tmp_path, text, message):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        _check_against_reference(path, load_graph, reference_load_graph, _same_graph)
+        if message is not None:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+                load_graph(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n 0\n", None),
+            ("n 2\n1_0\n٣\n", None),
+            ("n 2\n1.5\n1e500\n", "non-finite value (nan or inf)"),
+            ("n 2\n1.5 2.5\n0.5 1.0\n", "could not convert string to float: '1.5 2.5'"),
+            ("n 1\n#\n", "could not convert string to float: '#'"),
+        ],
+        ids=["empty", "underscore-arabic", "overflow", "two-columns", "comment-mark"],
+    )
+    def test_pinned_signal_cases(self, tmp_path, text, message):
+        path = tmp_path / "x.txt"
+        path.write_text(text)
+        _check_against_reference(path, load_signal, reference_load_signal, _same_bits)
+        if message is not None:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+                load_signal(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n 2\n0 1.0 1.0\n", "invalid literal for int() with base 10: '1.0'"),
+            ("n 3\n0 1 1.0\n1 2\n", "bad edge line '1 2'"),
+        ],
+        ids=["float-index", "short-line"],
+    )
+    def test_warning_loadtxt_names_the_bad_line(self, tmp_path, monkeypatch, text, message):
+        """numpy 1.24-1.26 warns where it reads an integer field through
+        float and returns the rows; a pass that warns is a miss, whatever
+        the caller's filters, so the line loop names the bad line."""
+
+        def warning_loadtxt(lines, dtype=float, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+            return np.array([(0, 1, 1.0), (1, 2, 1.0)][: len(lines)], dtype=dtype)
+
+        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError) as raised:
+                load_graph(path)
+        assert str(raised.value) == f"{path}: {message}"
+
+
 class TestTraceCsv:
     def test_columns_and_length(self, tmp_path):
         from graphsamp import DesignConfig, design_sampling_operator
@@ -541,10 +736,31 @@ class TestExperimentConfigFile:
                 f"n {10**400}\nk 5\ndesign.epsilon auto\n",
                 "config key n: int too large to convert to float",
             ),
+            (
+                "n 24\nk 4\nresponse.offset 0\n",
+                "config key response.slope/response.offset: spectral response must be "
+                "positive on the whole spectrum (min value 0)",
+            ),
+            (
+                "n 24\nk 4\nresponse.offset -0.5\n",
+                "config key response.slope/response.offset: spectral response must be "
+                "positive on the whole spectrum (min value -0.5)",
+            ),
+            (
+                "n 24\nk 4\nresponse.slope inf\n",
+                "config key response.slope/response.offset: spectral response must "
+                "evaluate to finite scalars",
+            ),
+            (
+                "n 24\nk 4\nresponse.offset nan\n",
+                "config key response.slope/response.offset: spectral response must "
+                "evaluate to finite scalars",
+            ),
         ],
         ids=[
             "k-too-large", "k-zero", "graph_k", "n", "epsilon", "max_iter", "trials",
             "master_seed", "baseline", "model.kind", "model.eta", "model.density", "auto-radius",
+            "offset-zero", "offset-negative", "slope-inf", "offset-nan",
         ],
     )
     def test_out_of_range_value_names_key(self, tmp_path, lines, message):
@@ -555,6 +771,12 @@ class TestExperimentConfigFile:
         with pytest.raises(ValueError) as info:
             load_experiment_config(path)
         assert str(info.value) == message
+
+    def test_negative_slope_loads(self):
+        """Whether a negative slope keeps the response positive depends on
+        λ_max, which only a trial's graph gives, so the file loads."""
+        cfg = config_from_mapping({"n": "24", "k": "4", "response.slope": "-1"})
+        assert cfg.response.slope == -1.0
 
     def test_vertex_count_beyond_int64_or_float_range(self, tmp_path):
         """n beyond int64 is a Python int the radius takes without numpy; n
