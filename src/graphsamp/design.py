@@ -19,6 +19,13 @@ ball is invariant under rotation. So the loop iterates on
 ``T = Q.T @ S``, where whitening is a row scaling by d, and rotates back
 once at the end.
 
+Reconstruction reads F as the prior's precision, whose own whitener is
+``F^-1/2``. The loop takes ``F^-1`` (``VariationOperator.whitener``)
+instead: any scales d that decrease in λ put the optimum in the span of
+the same K smoothest eigenvectors, and with ``d = 1/r(λ)`` the loop
+needs about half the iterations of ``d = r(λ)^-1/2`` (107.6 against
+221.5 on average, n = 256, K = 32, 40 GMRF trials).
+
 Only the rows of T for the ``m = min(n, ROWS_PER_SAMPLE * K)`` largest
 scales take part. The optimum ``Q_K diag(epsilon d_K / ||d_K||)`` lies in
 the span of the K columns of Q with the largest scales, and a row of T

@@ -9,14 +9,14 @@ import numpy as np
 
 from .variation import VariationOperator
 
-# singular values of S.T @ prior at or below INV_TOL times the largest
-# are left out of the correction's (pseudo-)inverse
+# eigenvalues of S.T @ prior at or below INV_TOL times the largest in
+# magnitude are left out of the correction's (pseudo-)inverse
 INV_TOL = 1e-10
 
 
 class GramSolver(Protocol):
-    """What reconstruction needs of a variation operator F: its dimension n
-    and solves with ``F.T @ F``. ``VariationOperator`` and
+    """What reconstruction needs of a variation operator F, the prior's
+    precision: its dimension n and solves with F. ``VariationOperator`` and
     ``SparseVariationOperator`` are both one."""
 
     @property
@@ -29,9 +29,9 @@ class GramSolver(Protocol):
 class ReconstructionPipeline:
     """Precomputed operators mapping samples back to a full signal.
 
-    ``prior_matrix`` solves the smoothness-weighted normal system for
-    the sampling matrix and also synthesizes the reconstruction, whose
-    range is its column space. ``correction`` is the inverse of
+    ``prior_matrix`` is the prior covariance ``F^-1`` applied to the
+    sampling matrix and synthesizes the reconstruction, whose range is
+    its column space. ``correction`` is the inverse of the symmetric
     ``sampling_matrix.T @ prior_matrix``, or its Moore-Penrose
     pseudo-inverse when that product is numerically singular (flagged by
     ``used_pseudo_inverse``).
@@ -59,12 +59,16 @@ class ReconstructionPipeline:
 def build_pipeline(vo: GramSolver, S: np.ndarray) -> ReconstructionPipeline:
     """Build the least-squares reconstruction pipeline for a sampling matrix.
 
-    The prior matrix Q solves ``(F.T @ F) Q = S`` through
-    ``vo.solve_gram`` (no explicit inverse); ``vo`` needs nothing else
-    but its ``dim``. The correction
-    inverts ``S.T @ Q`` through its SVD, keeping the singular values
-    above ``INV_TOL`` relative to the largest: the inverse when all are
-    kept, the pseudo-inverse with that cutoff otherwise.
+    The prior matrix Q solves ``F Q = S`` through ``vo.solve_gram`` (no
+    explicit inverse), F being the prior's precision; ``vo`` needs
+    nothing else but its ``dim``. So ``Q C S.T x`` is the prior's
+    conditional mean of x given the samples. The correction C inverts
+    ``S.T @ Q = S.T F^-1 S``, which is symmetric, through the
+    eigendecomposition of its symmetric part, keeping the eigenvalues
+    above ``INV_TOL`` relative to the largest in magnitude: the inverse
+    when all are kept, the pseudo-inverse with that cutoff otherwise (a
+    symmetric matrix's singular values are its eigenvalues' magnitudes,
+    so this is the SVD's rule).
 
     Raises:
         ValueError: if the sampling matrix has the wrong shape, no
@@ -80,12 +84,12 @@ def build_pipeline(vo: GramSolver, S: np.ndarray) -> ReconstructionPipeline:
         raise ValueError("sampling matrix has non-finite entries")
     prior = vo.solve_gram(S)
     product = S.T @ prior
-    U, s, Vt = np.linalg.svd(product)
-    keep = s > INV_TOL * s[0]
+    w, W = np.linalg.eigh(0.5 * (product + product.T))
+    keep = np.abs(w) > INV_TOL * np.abs(w).max()
     return ReconstructionPipeline(
         sampling_matrix=S,
         prior_matrix=prior,
-        correction=(Vt[keep].T / s[keep]) @ U[:, keep].T,
+        correction=(W[:, keep] / w[keep]) @ W[:, keep].T,
         used_pseudo_inverse=not keep.all(),
     )
 
@@ -106,10 +110,11 @@ def kkt_reconstruct(
 ) -> np.ndarray:
     """Reconstruct through the constrained least-squares KKT system.
 
-    Solves ``argmin ||F x||^2 subject to S.T x = c`` by assembling the
-    saddle-point system ``[[F.T F, S], [S.T, 0]]`` and solving it
-    directly. Slower than the pipeline and sharing no machinery with it,
-    so the two serve as independent cross-checks.
+    Solves ``argmin x.T F x subject to S.T x = c``, F the prior's
+    precision, by assembling the saddle-point system
+    ``[[F, S], [S.T, 0]]`` and solving it directly. Slower than the
+    pipeline and sharing no machinery with it, so the two serve as
+    independent cross-checks.
 
     Raises:
         ValueError: if the KKT system is singular (degenerate sampling
@@ -126,7 +131,7 @@ def kkt_reconstruct(
     if c.shape != (k,):
         raise ValueError(f"expected {k} samples, got shape {c.shape}")
     kkt = np.zeros((n + k, n + k))
-    kkt[:n, :n] = (vo.basis * vo.values**2) @ vo.basis.T  # F.T @ F
+    kkt[:n, :n] = (vo.basis * vo.values) @ vo.basis.T  # F
     kkt[:n, n:] = S
     kkt[n:, :n] = S.T
     rhs = np.zeros(n + k)

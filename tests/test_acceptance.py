@@ -13,7 +13,8 @@ K largest eigenvalues, divided by n:
   the floor is the Karhunen-Loeve tail F = sum_{i>K} 1/(lam_i + eta) / n.
   On the 100 graphs of criterion 01 it lies in [0.218, 0.228] (mean
   0.222); the designed operator measures 0.225 (1.01 F, Monte-Carlo
-  standard error 1%), random vertex selection 0.46 (2.1 F).
+  standard error 1%), random vertex selection 0.37 (1.65 F), both under
+  the prior whose precision is the signal's own, L + eta I.
 * PWL: the reference is R, the trial signal's energy outside the K
   smoothest Laplacian eigenvectors, ||x - V_K V_K^T x||^2 / n, which is
   the exact error of reconstructing from span V_K. Per trial the

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import dense_operator
+from helpers import dense_laplacian, dense_operator
 
 from graphsamp import (
     SpectralResponse,
@@ -15,6 +15,7 @@ from graphsamp import (
     sample,
 )
 from graphsamp.reconstruct import INV_TOL
+from graphsamp.variation import build_sparse_variation_operator
 
 
 def _identity_operator(n):
@@ -56,12 +57,11 @@ class TestBuildPipeline:
         np.testing.assert_allclose(p.correction, expected, rtol=1e-8, atol=1e-12 * scale)
 
     def test_prior_matrix_matches_dense_inverse(self):
-        """Dense inverse oracle for (F*F)^-1 S."""
+        """Dense inverse oracle for F^-1 S, F the prior's precision."""
         vo = _sensor_operator(16, seed=1)
         rng = np.random.RandomState(1)
         S = rng.randn(16, 5)
-        F = dense_operator(vo)
-        expected = np.linalg.inv(F.T @ F) @ S
+        expected = np.linalg.inv(dense_operator(vo)) @ S
         p = build_pipeline(vo, S)
         np.testing.assert_allclose(p.prior_matrix, expected, rtol=1e-8, atol=1e-12)
 
@@ -91,6 +91,66 @@ class TestBuildPipeline:
         vo = _sensor_operator(12, seed=4)
         with pytest.raises(ValueError, match=r"at least one column, got shape \(12, 0\)"):
             build_pipeline(vo, np.zeros((12, 0)))
+
+
+class TestMatchedPrior:
+    """At slope 1 and offset eta, F = L + eta I is the GMRF signal's
+    precision, so the pipeline is the conditional mean
+    ``Sigma S (S.T Sigma S)^-1 c`` with ``Sigma = (L + eta I)^-1``."""
+
+    @pytest.mark.parametrize("route", ["spectral", "sparse"])
+    def test_pipeline_is_gmrf_conditional_mean(self, route):
+        n, eta = 24, 0.1
+        g = random_sensor_graph(n, 6, seed=3)
+        response = SpectralResponse(1.0, eta)
+        if route == "spectral":
+            vo = build_variation_operator(eigendecompose(laplacian(g)), response)
+        else:
+            vo = build_sparse_variation_operator(laplacian(g), response)
+        sigma = np.linalg.inv(dense_laplacian(g) + eta * np.eye(n))
+        rng = np.random.default_rng(3)
+        for S in (rng.standard_normal((n, 5)), _selection(n, (0, 5, 11, 17, 23))):
+            c = rng.standard_normal(5)
+            expected = sigma @ S @ np.linalg.solve(S.T @ sigma @ S, c)
+            got = build_pipeline(vo, S).reconstruct(c)
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def _pinv_case(kind, n, rng):
+    if kind == "full_rank":
+        return rng.standard_normal((n, 5))
+    if kind == "duplicate_column":
+        S = rng.standard_normal((n, 5))
+        S[:, 4] = S[:, 1]
+        return S
+    if kind == "near_duplicate":  # smallest eigenvalue of S.T Q 2e-12 of the largest
+        S = rng.standard_normal((n, 5))
+        S[:, 4] = S[:, 1] + 1e-5 * rng.standard_normal(n)
+        return S
+    if kind == "rank_two":
+        return rng.standard_normal((n, 2)) @ rng.standard_normal((2, 5))
+    return np.zeros((n, 5))
+
+
+class TestCorrectionAgainstPinv:
+    """The correction from ``eigh`` of the symmetric ``S.T Q`` is
+    ``np.linalg.pinv(S.T Q, rcond=INV_TOL)``, and the fallback flag is set
+    exactly when that SVD cutoff drops a singular value."""
+
+    @pytest.mark.parametrize("kind", ["full_rank", "duplicate_column", "near_duplicate", "rank_two", "zero"])
+    def test_matches_pinv(self, kind):
+        vo = _sensor_operator(16, seed=5)
+        S = _pinv_case(kind, 16, np.random.default_rng(5))
+        p = build_pipeline(vo, S)
+        product = S.T @ p.prior_matrix
+        expected = np.linalg.pinv(product, rcond=INV_TOL)
+        s = np.linalg.svd(product, compute_uv=False)
+        assert p.used_pseudo_inverse == (not np.all(s > INV_TOL * s[0])) == (kind != "full_rank")
+        if kind == "zero":
+            np.testing.assert_array_equal(p.correction, np.zeros((5, 5)))
+        else:
+            scale = np.abs(expected).max()
+            np.testing.assert_allclose(p.correction, expected, rtol=1e-8, atol=1e-12 * scale)
 
 
 class TestSample:
@@ -190,7 +250,8 @@ class TestKktReconstruct:
         np.testing.assert_allclose(kkt_reconstruct(vo, S, np.zeros(3)), np.zeros(10), atol=1e-12)
 
     def test_feasible_and_optimal_among_probes(self):
-        """Constraint holds to 1e-9 and no feasible probe has smaller variation."""
+        """Constraint holds to 1e-9 and no feasible probe, near or far, has a
+        smaller prior energy ``x.T F x``, F the prior's precision."""
         vo = _sensor_operator(32, seed=12)
         rng = np.random.RandomState(14)
         S = rng.randn(32, 8)
@@ -198,14 +259,15 @@ class TestKktReconstruct:
         x = kkt_reconstruct(vo, S, c)
         assert np.linalg.norm(S.T @ x - c) <= 1e-9 * np.linalg.norm(c)
         F = dense_operator(vo)
-        base = np.linalg.norm(F @ x)
+        base = x @ F @ x
         # feasible probes: x plus anything in the null space of S^T
         proj = S @ np.linalg.solve(S.T @ S, S.T)
-        for _ in range(100):
-            r = rng.randn(32)
-            y = x + (r - proj @ r)
-            assert np.linalg.norm(S.T @ y - c) <= 1e-8 * max(np.linalg.norm(c), 1.0)
-            assert base <= np.linalg.norm(F @ y) + 1e-9
+        for step in (1.0, 1e-3):
+            for _ in range(50):
+                r = rng.randn(32)
+                y = x + step * (r - proj @ r)
+                assert np.linalg.norm(S.T @ y - c) <= 1e-8 * max(np.linalg.norm(c), 1.0)
+                assert base <= y @ F @ y + 1e-12 * base
 
     def test_degenerate_sampling_rejected(self):
         vo = _identity_operator(4)

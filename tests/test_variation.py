@@ -5,13 +5,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from helpers import dense_laplacian, dense_operator, dense_whitener
 
 from graphsamp import (
+    DesignConfig,
     Graph,
     SpectralResponse,
     build_pipeline,
     build_variation_operator,
+    default_radius,
+    design_sampling_operator,
     eigendecompose,
     laplacian,
     random_sensor_graph,
@@ -19,8 +24,14 @@ from graphsamp import (
     save_matrix,
     save_signal,
 )
+from graphsamp import variation
 from graphsamp.cli import main
-from graphsamp.variation import VariationOperator, _largest_eigenvalue, build_sparse_variation_operator
+from graphsamp.variation import (
+    VariationOperator,
+    _check_response,
+    _largest_eigenvalue,
+    build_sparse_variation_operator,
+)
 
 
 def _sensor_operator(n, seed, slope=1.0, offset=0.1):
@@ -160,8 +171,7 @@ class TestWhitener:
         _, vo = _sensor_operator(16, seed=4)
         rng = np.random.RandomState(3)
         B = rng.randn(16, 4)
-        F = dense_operator(vo)
-        expected = np.linalg.inv(F.T @ F) @ B
+        expected = np.linalg.inv(dense_operator(vo)) @ B
         np.testing.assert_allclose(vo.solve_gram(B), expected, rtol=1e-8, atol=1e-10)
 
 
@@ -205,6 +215,18 @@ class TestSharedBasis:
         assert vo.whitener.basis is vo.basis
         np.testing.assert_array_equal(vo.values, SpectralResponse()(spectrum.eigenvalues))
 
+    def test_design_input_is_the_inverse(self):
+        """F is read as the prior's precision, but the design still reads
+        ``vo.whitener = F^-1``: its values are bit for bit 1/r(λ) on the
+        spectrum's basis, and a design from it is byte for byte the design
+        from that inverse built by hand."""
+        spectrum, vo = _sensor_operator(48, seed=13)
+        by_hand = VariationOperator(1.0 / SpectralResponse()(spectrum.eigenvalues), spectrum.eigenvectors)
+        np.testing.assert_array_equal(vo.whitener.values, by_hand.values)
+        cfg = DesignConfig(epsilon=default_radius(48, 6), seed=2)
+        designed = design_sampling_operator(vo.whitener, 6, cfg).matrix
+        assert designed.tobytes() == design_sampling_operator(by_hand, 6, cfg).matrix.tobytes()
+
     def test_build_allocates_no_square_array(self):
         """Building the operator at n=512 peaks below one n x n float array:
         the basis is shared, not copied."""
@@ -233,10 +255,10 @@ class TestSparseVariationOperator:
     @pytest.mark.parametrize("n", [24, 256, 1024])
     @pytest.mark.parametrize("slope, offset", [(1.0, 0.1), (-0.01, 10.0), (1.0, 1e-6)])
     def test_solve_gram_matches_spectral(self, n, slope, offset):
-        """The two sparse solves agree with the spectral solve. At offset 1e-6
-        cond(F) is about 1e7; the measured gap follows cond(F) * eps (1.8e-9
-        at n=1024), well inside the cond(F)^2 * eps bound of a Gram solve, so
-        the tolerance is 10 cond(F) eps there and 1e-12 elsewhere."""
+        """The one sparse solve with F agrees with the spectral solve. At
+        offset 1e-6 cond(F) is about 1e7 and the measured gap 2.2e-10 to
+        3.7e-10, below cond(F) * eps, so the tolerance is 10 cond(F) eps
+        there and 1e-12 elsewhere."""
         g = random_sensor_graph(n, 6, seed=n)
         response = SpectralResponse(slope, offset)
         vo = build_variation_operator(eigendecompose(laplacian(g)), response)
@@ -325,3 +347,91 @@ class TestSparseVariationOperator:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * n
+
+
+def _refusal(check):
+    """The message of the ValueError that ``check()`` raises, or None."""
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestResponseBound:
+    """``build_sparse_variation_operator`` checks the response at the
+    Gershgorin bound ``2 * max weighted degree`` first and asks ARPACK for
+    λ_max only when that check refuses."""
+
+    def test_default_reconstruct_runs_no_arpack(self, monkeypatch, tmp_path, capsys):
+        g = random_sensor_graph(64, 6, seed=0)
+        save_graph(g, tmp_path / "g.txt")
+        save_matrix(np.random.default_rng(0).standard_normal((64, 8)), tmp_path / "S.txt")
+        save_signal(np.random.default_rng(1).standard_normal(64), tmp_path / "x.txt")
+        def refuse(lap):
+            raise AssertionError("ARPACK ran")
+
+        monkeypatch.setattr(variation, "_largest_eigenvalue", refuse)
+        rc = main(
+            ["reconstruct", "--graph", str(tmp_path / "g.txt"),
+             "--sampling", str(tmp_path / "S.txt"), "--signal", str(tmp_path / "x.txt"),
+             "--out-dir", str(tmp_path / "out")]
+        )
+        assert rc == 0, capsys.readouterr().err
+        assert (tmp_path / "out" / "x_hat.txt").exists()
+
+    def test_zero_between_lambda_max_and_bound_accepted(self, monkeypatch):
+        """``r(λ) = z - λ`` with λ_max < z < bound is positive on the
+        spectrum though not at the bound: ARPACK runs and accepts it."""
+        g = random_sensor_graph(64, 6, seed=1)
+        lap = laplacian(g)
+        spectrum = eigendecompose(lap)
+        lam_max = spectrum.eigenvalues[-1]
+        bound = float(abs(lap).sum(axis=0).max())
+        assert lam_max < bound
+        response = SpectralResponse(-1.0, 0.5 * (lam_max + bound))
+        calls = []
+
+        def spy(matrix):
+            calls.append(matrix.shape)
+            return _largest_eigenvalue(matrix)
+
+        monkeypatch.setattr(variation, "_largest_eigenvalue", spy)
+        sparse = build_sparse_variation_operator(lap, response)
+        assert calls == [(64, 64)]
+        B = np.random.default_rng(2).standard_normal((64, 3))
+        expected = build_variation_operator(spectrum, response).solve_gram(B)
+        np.testing.assert_allclose(sparse.solve_gram(B), expected, rtol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["negative", "singular"])
+    def test_refusal_names_lambda_max(self, kind):
+        """A response refused at the bound and at λ_max gets the message of
+        the λ_max check, not of the bound, byte for byte."""
+        g = random_sensor_graph(24, 6, seed=24)
+        lap = laplacian(g)
+        lam_max = eigendecompose(lap).eigenvalues[-1]
+        bound = float(abs(lap).sum(axis=0).max())
+        if kind == "negative":
+            response = SpectralResponse(-1.0, 0.1)
+            expected = f"spectral response must be positive on the whole spectrum (min value {0.1 - lam_max:g})"
+            assert f"{0.1 - bound:g}" not in expected
+        else:  # r(λ_max) about 1e-13 r(0)
+            response = SpectralResponse(-1.0, lam_max * (1.0 + 1e-13))
+            expected = "variation operator is numerically singular"
+        assert _refusal(lambda: build_sparse_variation_operator(lap, response)) == expected
+
+    @given(
+        n=st.integers(2, 40),
+        seed=st.integers(0, 2**16),
+        slope=st.floats(-4.0, 4.0),
+        offset=st.floats(-2.0, 40.0),
+    )
+    @example(n=64, seed=1, slope=-1.0, offset=12.0)  # zero between λ_max 7.94 and bound 14.2
+    @settings(max_examples=150, deadline=None)
+    def test_same_decision_as_lambda_max_rule(self, n, seed, slope, offset):
+        """Accepted or refused, and with which message, exactly as the checks
+        at ARPACK's λ_max alone decide."""
+        lap = laplacian(random_sensor_graph(n, min(6, n - 1), seed))
+        response = SpectralResponse(slope, offset)
+        want = _refusal(lambda: _check_response(response, _largest_eigenvalue(lap)))
+        assert _refusal(lambda: build_sparse_variation_operator(lap, response)) == want
