@@ -89,10 +89,15 @@ def _cmd_reconstruct(args) -> int:
     graph, _ = _obtain_graph(args)
     S = load_matrix(args.sampling)
     x = load_signal(args.signal)
+    if x.size != graph.num_vertices:
+        raise ValueError(
+            f"--signal: signal length {x.size} does not match {graph.num_vertices} vertices"
+        )
     response = SpectralResponse(args.response_slope, args.response_offset)
     with _naming("--response-slope/--response-offset"):
         vo = build_sparse_variation_operator(laplacian(graph), response)
-    pipeline = build_pipeline(vo, S)
+    with _naming("--sampling"):
+        pipeline = build_pipeline(vo, S)
     x_hat = pipeline.reconstruct(sample(S, x))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -130,7 +135,9 @@ def _cmd_bench(args) -> int:
 def _cmd_render(args) -> int:
     graph, _ = _obtain_graph(args)
     x = load_signal(args.signal)
-    render_signal_svg(graph, x, args.out)
+    # a graph without coordinates is refused before the signal is looked at
+    with _naming("--graph" if graph.coordinates is None else "--signal"):
+        render_signal_svg(graph, x, args.out)
     print(f"wrote {args.out}")
     return 0
 

@@ -14,15 +14,16 @@ from .variation import VariationOperator
 INV_TOL = 1e-10
 
 
-class GramSolver(Protocol):
-    """What reconstruction needs of a variation operator F, the prior's
-    precision: its dimension n and solves with F. ``VariationOperator`` and
-    ``SparseVariationOperator`` are both one."""
+class PrecisionSolver(Protocol):
+    """What reconstruction needs of the prior's precision F: its ``shape``
+    (n, n) and solves ``F X = B``. ``VariationOperator`` and the scipy
+    ``SuperLU`` factor that ``build_sparse_variation_operator`` returns are
+    both one."""
 
     @property
-    def dim(self) -> int: ...
+    def shape(self) -> tuple[int, int]: ...
 
-    def solve_gram(self, B: np.ndarray) -> np.ndarray: ...
+    def solve(self, B: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,12 +57,12 @@ class ReconstructionPipeline:
         return self.prior_matrix @ (self.correction @ c)
 
 
-def build_pipeline(vo: GramSolver, S: np.ndarray) -> ReconstructionPipeline:
+def build_pipeline(vo: PrecisionSolver, S: np.ndarray) -> ReconstructionPipeline:
     """Build the least-squares reconstruction pipeline for a sampling matrix.
 
-    The prior matrix Q solves ``F Q = S`` through ``vo.solve_gram`` (no
+    The prior matrix Q solves ``F Q = S`` through ``vo.solve`` (no
     explicit inverse), F being the prior's precision; ``vo`` needs
-    nothing else but its ``dim``. So ``Q C S.T x`` is the prior's
+    nothing else but its ``shape``. So ``Q C S.T x`` is the prior's
     conditional mean of x given the samples. The correction C inverts
     ``S.T @ Q = S.T F^-1 S``, which is symmetric, through the
     eigendecomposition of its symmetric part, keeping the eigenvalues
@@ -75,14 +76,15 @@ def build_pipeline(vo: GramSolver, S: np.ndarray) -> ReconstructionPipeline:
             column, or a non-finite entry.
     """
     S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != vo.dim or S.shape[1] == 0:
+    n = vo.shape[0]
+    if S.ndim != 2 or S.shape[0] != n or S.shape[1] == 0:
         raise ValueError(
-            f"sampling matrix must have {vo.dim} rows and at least one column, "
+            f"sampling matrix must have {n} rows and at least one column, "
             f"got shape {S.shape}"
         )
     if not np.all(np.isfinite(S)):
         raise ValueError("sampling matrix has non-finite entries")
-    prior = vo.solve_gram(S)
+    prior = vo.solve(S)
     product = S.T @ prior
     w, W = np.linalg.eigh(0.5 * (product + product.T))
     keep = np.abs(w) > INV_TOL * np.abs(w).max()
@@ -123,11 +125,12 @@ def kkt_reconstruct(
     """
     S = np.asarray(S, dtype=float)
     c = np.asarray(c, dtype=float).ravel()
-    if S.ndim != 2 or S.shape[0] != vo.dim:
+    n = vo.shape[0]
+    if S.ndim != 2 or S.shape[0] != n:
         raise ValueError(
-            f"sampling matrix must have {vo.dim} rows, got shape {S.shape}"
+            f"sampling matrix must have {n} rows, got shape {S.shape}"
         )
-    n, k = S.shape
+    k = S.shape[1]
     if c.shape != (k,):
         raise ValueError(f"expected {k} samples, got shape {c.shape}")
     kkt = np.zeros((n + k, n + k))

@@ -63,8 +63,8 @@ class VariationOperator:
             )
 
     @property
-    def dim(self) -> int:
-        return self.values.shape[0]
+    def shape(self) -> tuple[int, int]:
+        return self.basis.shape
 
     @property
     def whitener(self) -> VariationOperator:
@@ -73,10 +73,13 @@ class VariationOperator:
         ``F^-1`` does, so the design's optimum span is the covariance's."""
         return VariationOperator(1.0 / self.values, self.basis)
 
-    def solve_gram(self, B: np.ndarray) -> np.ndarray:
+    def solve(self, B: np.ndarray) -> np.ndarray:
         """Solve ``F X = B`` through the spectral factors: F is the prior's
         precision, so X is the prior covariance applied to B."""
-        coeffs = self.basis.T @ _rows(B, self.dim)
+        B = np.asarray(B, dtype=float)
+        if B.shape[0] != self.values.size:
+            raise ValueError(f"expected {self.values.size} rows, got shape {B.shape}")
+        coeffs = self.basis.T @ B
         if coeffs.ndim == 1:
             return self.basis @ (coeffs / self.values)
         return self.basis @ (coeffs / self.values[:, None])
@@ -107,30 +110,15 @@ def build_variation_operator(
     return VariationOperator(values=values, basis=spectrum.eigenvectors)
 
 
-@dataclass(frozen=True, eq=False)
-class SparseVariationOperator:
-    """Variation operator ``F = slope * L + offset * I`` of an affine response,
-    kept as the sparse LU factors of F.
-
-    F is the prior's precision, so applying the prior covariance is one
-    solve with F. Neither a dense n x n array nor a spectrum is needed.
-    """
-
-    factor: SuperLU
-
-    @property
-    def dim(self) -> int:
-        return self.factor.shape[0]
-
-    def solve_gram(self, B: np.ndarray) -> np.ndarray:
-        """Solve ``F X = B`` with the sparse factors."""
-        return self.factor.solve(_rows(B, self.dim))
-
-
 def build_sparse_variation_operator(
     lap: csc_matrix, response: SpectralResponse
-) -> SparseVariationOperator:
+) -> SuperLU:
     """Factor ``F = slope * L + offset * I`` for a connected graph's sparse Laplacian.
+
+    F is the prior's precision, so applying the prior covariance is one
+    ``solve`` with the returned sparse LU factor, which has the
+    ``shape`` and ``solve`` that ``build_pipeline`` reads. Neither a
+    dense n x n array nor a spectrum is needed.
 
     Makes the checks of ``build_variation_operator`` without a spectrum:
     the response is affine, so its extremes over the spectrum are at
@@ -153,13 +141,12 @@ def build_sparse_variation_operator(
     F = response.slope * lap + response.offset * identity(n, format="csc")
     # the checks make F symmetric positive definite, so its LU needs no row
     # pivoting and takes a symmetric fill-reducing order (half COLAMD's fill)
-    factor = splu(
+    return splu(
         F.tocsc(),
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
     )
-    return SparseVariationOperator(factor)
 
 
 def _largest_eigenvalue(lap: csc_matrix) -> float:
@@ -193,10 +180,3 @@ def _check_response(response: SpectralResponse, lam_max: float) -> None:
     if values.min() <= 1e-12 * values.max():
         raise ValueError("variation operator is numerically singular")
 
-
-def _rows(B, dim: int) -> np.ndarray:
-    """``B`` as a float array, checked to have ``dim`` rows."""
-    B = np.asarray(B, dtype=float)
-    if B.shape[0] != dim:
-        raise ValueError(f"expected {dim} rows, got shape {B.shape}")
-    return B

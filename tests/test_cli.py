@@ -367,9 +367,44 @@ class TestReconstructCommand:
         )
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: sampling matrix must have 24 rows and at least one column, "
+            "error: --sampling: sampling matrix must have 24 rows and at least one column, "
             "got shape (24, 0)\n"
         )
+
+
+class TestInputsNamedByFlag:
+    """An input that does not fit the 32-vertex graph is refused naming its flag."""
+
+    @pytest.mark.parametrize(
+        "command, s_shape, x_len, coordinates, message",
+        [
+            ("reconstruct", (24, 4), 32, True,
+             "--sampling: sampling matrix must have 32 rows and at least one column, "
+             "got shape (24, 4)"),
+            ("reconstruct", (32, 4), 20, True,
+             "--signal: signal length 20 does not match 32 vertices"),
+            ("render", None, 20, True, "--signal: signal length 20 does not match 32 vertices"),
+            ("render", None, 32, False, "--graph: graph has no coordinates to render"),
+        ],
+        ids=["reconstruct-sampling", "reconstruct-signal", "render-signal", "render-graph"],
+    )
+    def test_refusal_names_flag(
+        self, tmp_path, capsys, command, s_shape, x_len, coordinates, message
+    ):
+        g = random_sensor_graph(32, 4, seed=3)
+        if not coordinates:
+            g = Graph(g.num_vertices, g.edges, g.weights)
+        save_graph(g, tmp_path / "graph.txt")
+        save_signal(np.ones(x_len), tmp_path / "x.txt")
+        argv = [command, "--graph", str(tmp_path / "graph.txt"),
+                "--signal", str(tmp_path / "x.txt")]
+        if command == "reconstruct":
+            save_matrix(np.ones(s_shape), tmp_path / "S.txt")
+            argv += ["--sampling", str(tmp_path / "S.txt"), "--out-dir", str(tmp_path / "o")]
+        else:
+            argv += ["--out", str(tmp_path / "fig.svg")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestBenchCommand:

@@ -30,6 +30,8 @@ from helpers import (
 import graphsamp.design as design_module
 from graphsamp import (
     DesignConfig,
+    ExperimentConfig,
+    SignalModelSpec,
     SpectralResponse,
     build_pipeline,
     build_variation_operator,
@@ -40,6 +42,7 @@ from graphsamp import (
     laplacian,
     project_frobenius_ball,
     random_sensor_graph,
+    run_trial,
     sample,
 )
 from graphsamp.design import (
@@ -453,6 +456,32 @@ class TestGramPolarFactor:
         G_ref, s_ref = _svd_polar_factor(M)
         np.testing.assert_array_equal(G, G_ref)
         np.testing.assert_array_equal(s_got, s_ref)
+
+    @pytest.mark.parametrize(
+        "model, fixed_graph",
+        [(SignalModelSpec("gmrf", eta=0.1), False), (SignalModelSpec("pwl", density=1 / 8), True)],
+        ids=["gmrf", "pwl-fixed-graph"],
+    )
+    def test_benchmark_trials_never_take_the_svd(self, monkeypatch, model, fixed_graph):
+        """On the first trials of acceptance 01's GMRF config and of
+        acceptance 02's PWL config on one fixed graph (n=256, K=32), every
+        design iteration takes the Gram route: the thin SVD alone costs
+        more than a whole Gram iteration."""
+        cfg = ExperimentConfig(
+            n=256, num_samples=32, graph_k=6, response=SpectralResponse(1.0, 0.1),
+            model=model, master_seed=1, fixed_graph=fixed_graph,
+        )
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(M, *args, **kwargs):
+            calls.append(M.shape)
+            return svd(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        iterations = sum(run_trial(cfg, i)[0].design_iterations for i in range(20))
+        assert iterations > 0
+        assert calls == []
 
 
 class TestStepRule:

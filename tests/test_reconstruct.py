@@ -84,6 +84,10 @@ class TestBuildPipeline:
         vo = _sensor_operator(12, seed=4)
         with pytest.raises(ValueError, match="rows"):
             build_pipeline(vo, np.zeros((11, 3)))
+        lap = laplacian(random_sensor_graph(12, 6, seed=4))
+        sparse = build_sparse_variation_operator(lap, SpectralResponse(1.0, 0.1))
+        with pytest.raises(ValueError, match="rows"):
+            build_pipeline(sparse, np.zeros((11, 3)))
 
     def test_no_columns_rejected(self):
         """A 12 x 0 sampling matrix takes no samples; it is refused by shape,
