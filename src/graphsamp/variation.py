@@ -167,7 +167,8 @@ def _largest_eigenvalue(lap: csc_matrix) -> float:
 def _check_response(response: SpectralResponse, lam_max: float) -> None:
     """Reject an affine response that, over a connected graph's Laplacian
     spectrum [0, lam_max], is not finite and positive or makes the operator
-    numerically singular."""
+    numerically singular: a value within 1e-12 of the largest, or below
+    the smallest normal float, where F carries too few bits to factor."""
     with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and overflow are refused below
         values = np.asarray(response(np.array([0.0, lam_max])), dtype=float)
     if values.ndim != 1 or not np.all(np.isfinite(values)):
@@ -177,6 +178,6 @@ def _check_response(response: SpectralResponse, lam_max: float) -> None:
             "spectral response must be positive on the whole spectrum "
             f"(min value {float(values.min()):g})"
         )
-    if values.min() <= 1e-12 * values.max():
+    if values.min() <= 1e-12 * values.max() or values.min() < np.finfo(float).tiny:
         raise ValueError("variation operator is numerically singular")
 

@@ -418,6 +418,15 @@ class TestResponseBound:
             expected = "variation operator is numerically singular"
         assert _refusal(lambda: build_sparse_variation_operator(lap, response)) == expected
 
+    def test_subnormal_response_refused(self):
+        """A response positive on the spectrum but subnormal somewhere makes
+        F too imprecise to factor (an exact zero pivot): both builders refuse it."""
+        lap = laplacian(random_sensor_graph(3, 2, seed=0))
+        response = SpectralResponse(5e-324, 5e-324)
+        expected = "variation operator is numerically singular"
+        assert _refusal(lambda: build_sparse_variation_operator(lap, response)) == expected
+        assert _refusal(lambda: build_variation_operator(eigendecompose(lap), response)) == expected
+
     @given(
         n=st.integers(2, 40),
         seed=st.integers(0, 2**16),
@@ -425,6 +434,7 @@ class TestResponseBound:
         offset=st.floats(-2.0, 40.0),
     )
     @example(n=64, seed=1, slope=-1.0, offset=12.0)  # zero between λ_max 7.94 and bound 14.2
+    @example(n=3, seed=0, slope=5e-324, offset=5e-324)  # subnormal F: an exact zero pivot
     @settings(max_examples=150, deadline=None)
     def test_same_decision_as_lambda_max_rule(self, n, seed, slope, offset):
         """Accepted or refused, and with which message, exactly as the checks
