@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .seeds import _UINT64_MASK, _count, _integer, _neighbour_count, _seed, _vertex_count
 
@@ -98,8 +97,30 @@ def _index_fault(edges, n: int) -> str:
 
 
 def _component_count(n: int, pairs: np.ndarray) -> int:
-    adjacency = coo_matrix((np.ones(len(pairs)), tuple(pairs.T)), shape=(n, n))
-    return int(connected_components(adjacency, directed=False)[0])
+    """Number of connected components of the graph on n vertices with edges ``pairs``.
+
+    Min-label hooking with pointer jumping, in numpy: each round every root
+    hooks to the smallest root it shares an edge with, if that is smaller,
+    and labels then jump to their roots. Hooks point only to smaller
+    labels, so the pointers form a forest and the loop ends. Hooking to the
+    smallest neighbour, not to any, takes a star whose centre has the
+    largest index two rounds, not one per leaf. ``scipy.sparse.csgraph``
+    would load scipy's sparse solvers and ``scipy.linalg`` into every
+    process.
+    """
+    label = np.arange(n, dtype=np.int64)
+    while True:
+        a, b = label[pairs[:, 0]], label[pairs[:, 1]]
+        differ = a != b
+        if not differ.any():
+            return int(np.count_nonzero(label == np.arange(n)))
+        a, b = a[differ], b[differ]
+        # sorted by (larger root, smaller root): the first of each run is the smallest
+        hi, lo = np.divmod(np.sort(np.maximum(a, b) * n + np.minimum(a, b)), n)
+        first = np.concatenate(([True], hi[1:] != hi[:-1]))
+        label[hi[first]] = lo[first]
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
 
 
 def _nearest_neighbours(dist: np.ndarray, k: int) -> np.ndarray:

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 from .graphs import Spectrum
 from .seeds import _seed
@@ -72,6 +71,8 @@ def pwl_signal(lap: csc_matrix, density: float, seed: int) -> np.ndarray:
     x[anchors] = values
     if num_anchors == n:
         return x
+    from scipy.sparse.linalg import splu  # loads scipy's sparse solvers only where one runs
+
     free = np.setdiff1d(np.arange(n), anchors)
     rhs = -(L[:, anchors] @ values)[free]
     x[free] = splu(L[:, free][free]).solve(rhs)

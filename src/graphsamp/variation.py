@@ -13,12 +13,15 @@ same optimum in half the iterations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.sparse import csc_matrix, identity
-from scipy.sparse.linalg import SuperLU, eigsh, splu
 
 from .graphs import Spectrum
+
+if TYPE_CHECKING:
+    from scipy.sparse.linalg import SuperLU
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,7 @@ class VariationOperator:
         """Solve ``F X = B`` through the spectral factors: F is the prior's
         precision, so X is the prior covariance applied to B."""
         B = np.asarray(B, dtype=float)
-        if B.shape[0] != self.values.size:
+        if B.ndim not in (1, 2) or B.shape[0] != self.values.size:
             raise ValueError(f"expected {self.values.size} rows, got shape {B.shape}")
         coeffs = self.basis.T @ B
         if coeffs.ndim == 1:
@@ -133,6 +136,8 @@ def build_sparse_variation_operator(
         ValueError: if the response is not strictly positive on the
             spectrum, or the operator is numerically singular.
     """
+    from scipy.sparse.linalg import splu  # loads scipy's sparse solvers only where one runs
+
     n = lap.shape[0]
     try:
         _check_response(response, float(abs(lap).sum(axis=0).max()))
@@ -157,6 +162,8 @@ def _largest_eigenvalue(lap: csc_matrix) -> float:
     1 x 1 matrix (an edgeless 1-vertex graph), where ARPACK cannot run,
     is its own eigenvalue.
     """
+    from scipy.sparse.linalg import eigsh
+
     n = lap.shape[0]
     if n == 1:
         return float(lap.diagonal()[0])

@@ -523,3 +523,38 @@ class TestImportFootprint:
             check=True,
         )
         assert result.stdout.strip() == "False"
+
+    def test_solver_stack_loaded_only_where_a_solve_runs(self, tmp_path):
+        """A GMRF trial, ``design`` and ``render`` need no sparse factor or
+        ARPACK, so they leave scipy's sparse solvers and ``scipy.linalg``
+        unloaded (11 MB of RSS); ``reconstruct`` factors F, so it loads
+        them."""
+        src = str(Path(graphsamp.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = f"""
+import sys
+import numpy as np
+from graphsamp import ExperimentConfig, save_signal
+from graphsamp.bench import run_trial
+from graphsamp.cli import main
+
+stack = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+out = {str(tmp_path)!r}
+run_trial(ExperimentConfig(n=64, num_samples=8), 0)
+assert main(["design", "--n", "64", "--k", "8", "--out-dir", out + "/d"]) == 0
+save_signal(np.linspace(-1.0, 1.0, 64), out + "/x.txt")
+assert main(["render", "--graph", out + "/d/graph.txt", "--signal", out + "/x.txt",
+             "--out", out + "/fig.svg"]) == 0
+before = [m for m in stack if m in sys.modules]
+assert main(["reconstruct", "--graph", out + "/d/graph.txt", "--sampling", out + "/d/S.txt",
+             "--signal", out + "/x.txt", "--out-dir", out + "/r"]) == 0
+print("loaded:", before, "scipy.sparse.linalg" in sys.modules)
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.splitlines()[-1] == "loaded: [] True"

@@ -7,6 +7,7 @@ Ground truth:
 - k-NN selection: a per-vertex ``lexsort`` loop, kept here as the reference.
 - Edge validation: the per-edge loop ``Graph`` used before its edges were
   arrays, kept here as the reference.
+- Component count: scipy's ``connected_components``.
 """
 
 import tracemalloc
@@ -16,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import dense_sensor_graph
-from scipy.sparse import csc_matrix
+from scipy.sparse import coo_matrix, csc_matrix
+from scipy.sparse.csgraph import connected_components
 
 from graphsamp import Graph, eigendecompose, laplacian, random_sensor_graph
-from graphsamp.graphs import _nearest_neighbours
+from graphsamp.graphs import _component_count, _nearest_neighbours
 
 
 def _reference_graph(n, edges):
@@ -88,6 +90,42 @@ def _edge_lists(draw):
             v, u, _ = draw(st.sampled_from(edges))
         edges.insert(draw(st.integers(0, len(edges))), (u, v, w))
     return n, edges
+
+
+@st.composite
+def _piecewise_graphs(draw):
+    """Vertex count and m×2 edge array of a union of pieces, labels shuffled.
+
+    Each piece is an isolated vertex, a path, a grid, a star whose centre
+    gets the piece's largest label, or random edges on up to 30 vertices
+    (often disconnected, with self loops and repeats); a random
+    permutation then relabels all vertices, so a path or grid is visited
+    in no order its labels follow.
+    """
+    shapes = ["isolated", "path", "grid", "star", "random"]
+    edges, n = [], 0
+    for shape in draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=6)):
+        if shape == "isolated":
+            size, piece = 1, []
+        elif shape == "path":
+            size = draw(st.integers(2, 40))
+            piece = [(i, i + 1) for i in range(size - 1)]
+        elif shape == "grid":
+            rows, cols = draw(st.integers(1, 8)), draw(st.integers(2, 8))
+            size = rows * cols
+            piece = [(i, i + 1) for i in range(size) if (i + 1) % cols]
+            piece += [(i, i + cols) for i in range(size - cols)]
+        elif shape == "star":
+            size = draw(st.integers(2, 40))
+            piece = [(i, size - 1) for i in range(size - 1)]
+        else:
+            size = draw(st.integers(2, 30))
+            vertex = st.integers(0, size - 1)
+            piece = draw(st.lists(st.tuples(vertex, vertex), max_size=40))
+        edges += [(n + u, n + v) for u, v in piece]
+        n += size
+    label = np.array(draw(st.permutations(range(n))))
+    return n, label[np.array(edges, dtype=np.intp).reshape(-1, 2)]
 
 
 def _distances(points):
@@ -239,6 +277,20 @@ class TestGraphValidation:
         g = Graph(n, [(u, v) for u, v, _ in edges], [w for *_, w in edges])
         assert g.edges.tolist() == [[u, v] for u, v, _ in expected]
         assert g.weights.tolist() == [w for *_, w in expected]
+
+
+class TestComponentCount:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_piecewise_graphs())
+    def test_matches_scipy(self, case):
+        n, pairs = case
+        adjacency = coo_matrix((np.ones(len(pairs)), tuple(pairs.T)), shape=(n, n))
+        assert _component_count(n, pairs) == connected_components(adjacency, directed=False)[0]
+
+    def test_disconnected_graph_with_enough_edges_refused(self):
+        """n - 1 edges pass the edge-count shortcut, so the count itself refuses."""
+        with pytest.raises(ValueError, match="^graph is not connected$"):
+            Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)], [1.0] * 4)
 
 
 class TestRandomSensorGraph:

@@ -1,6 +1,7 @@
 """Variation operator assembly, whitening factor, their identities, and the
 sparse operator against the spectral one."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -162,12 +163,19 @@ class TestWhitener:
         with pytest.raises(ValueError, match=message):
             VariationOperator(np.asarray(scales), basis)
 
-    def test_solve_gram_dimension_mismatch(self):
+    def test_solve_dimension_mismatch(self):
         _, vo = _sensor_operator(8, seed=2)
         with pytest.raises(ValueError, match="rows"):
             vo.solve(np.zeros((9, 2)))
 
-    def test_solve_gram_matches_dense_inverse(self):
+    @pytest.mark.parametrize("B", [np.float64(1.0), np.zeros((8, 2, 1))], ids=["0-d", "3-d"])
+    def test_solve_refuses_other_than_one_or_two_dims(self, B):
+        _, vo = _sensor_operator(8, seed=2)
+        message = re.escape(f"expected 8 rows, got shape {np.shape(B)}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            vo.solve(B)
+
+    def test_solve_matches_dense_inverse(self):
         _, vo = _sensor_operator(16, seed=4)
         rng = np.random.RandomState(3)
         B = rng.randn(16, 4)
