@@ -168,7 +168,9 @@ def _graph_setup(n: int, graph_k: int, graph_seed: int, response: SpectralRespon
     """
     lap = laplacian(random_sensor_graph(n, graph_k, graph_seed))
     spectrum = eigendecompose(lap)
-    vo = build_variation_operator(spectrum, response)
+    # a negative slope can fail only inside this graph's spectrum, so only here
+    with _naming("config key response.slope/response.offset"):
+        vo = build_variation_operator(spectrum, response)
     for array in (
         lap.data, lap.indices, lap.indptr,
         spectrum.eigenvalues, spectrum.eigenvectors, vo.values,

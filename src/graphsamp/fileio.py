@@ -13,16 +13,17 @@ loader reports every malformed or non-finite value with an error that
 names the file.
 
 Each block of numbers is read in one C pass that makes no Python object
-per value: a matrix body by ``np.fromstring(body, sep=" ")``; a graph's
-``coords`` block, its edge block (a structured row of two ``intp``
-indices and a float weight, so no index is rounded) and a signal's
-values by one ``np.loadtxt`` each, on the stripped lines. A pass misses
-where it raises ValueError, warns, or finds the wrong number of columns
-or entries (or, in a matrix, a non-finite value). The block is then read
-again token by token with ``int()`` and ``float()``, which accept more
-than numpy does (``1_0``, ``٣``, ints beyond int64) and raise the error
-the file gets, naming its line, entry count, token or non-finite value.
-So either pass gives the same bits and the same message.
+per value. A matrix body, a flat run of tokens, is read by
+``np.fromstring(body, sep=" ")``. Each line block (a graph's ``coords``
+and edges, a signal's values) is read by one helper: one ``np.loadtxt``
+of the stripped lines into a record per line, whose field count numpy
+checks (an edge's two indices are ``intp``, so none is rounded). A pass
+misses where it raises ValueError or warns, or, in a matrix, finds the
+wrong entry count or a non-finite value. The block is then read again
+token by token with ``int()`` and ``float()``, which accept more than
+numpy does (``1_0``, ``٣``, ints beyond int64) and raise the error the
+file gets, naming its line, entry count, token or non-finite value. So
+either pass gives the same bits and the same message.
 """
 
 from __future__ import annotations
@@ -58,62 +59,66 @@ def save_graph(graph: Graph, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-# an edge line as np.loadtxt reads it: integer indices, so none is rounded
-_EDGE_ROW = np.dtype([("u", np.intp), ("v", np.intp), ("w", float)])
+# a line of each block as a record, one field per run of tokens of one type;
+# edge indices are integers, so none is rounded
+_COORDS = np.dtype([("xy", float, (2,))])
+_EDGE = np.dtype([("uv", np.intp, (2,)), ("w", float, (1,))])
+_VALUE = np.dtype([("v", float, (1,))])
 
 
 def load_graph(path) -> Graph:
     with _naming(path):
-        lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
-        lines = [ln for ln in lines if ln]
-        if not lines:
-            raise ValueError("empty graph file")
-        header = lines[0].split()
-        if len(header) != 2 or header[0] != "n":
-            raise ValueError(f"expected header 'n <num_vertices>', got {lines[0]!r}")
-        n = _count("header vertex count", int(header[1]))
+        count, lines = _headed_lines(path, "graph", "num_vertices")
+        n = _count("header vertex count", count)
         pos = 1
         coords = None
         if pos < len(lines) and lines[pos] == "coords":
             pos += 1
             if len(lines) < pos + n:
                 raise ValueError(f"coords block needs {n} lines")
-            block = lines[pos : pos + n]
-            coords = _c_pass(np.loadtxt, block, comments=None, ndmin=2)
-            if coords is None or coords.shape[1] != 2:
-                coords = _parse_coords(block)
+            coords = _read_block(lines[pos : pos + n], _COORDS, "coords")["xy"]
             pos += n
-        block = lines[pos:]
-        rows = _c_pass(np.loadtxt, block, dtype=_EDGE_ROW, comments=None, ndmin=1)
-        if rows is None:
-            pairs, weights = _parse_edges(block)
-        else:
-            pairs, weights = np.column_stack((rows["u"], rows["v"])), rows["w"]
-        return Graph(n, pairs, weights, coords)
+        edges = _read_block(lines[pos:], _EDGE, "edge")
+        return Graph(n, edges["uv"], edges["w"][:, 0], coords)
 
 
-def _parse_coords(block: list[str]) -> np.ndarray:
-    """The ``coords`` block read line by line; errors name the first bad line."""
-    coords = []
-    for ln in block:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad coords line {ln!r}")
-        coords.append((float(parts[0]), float(parts[1])))
-    return np.array(coords)
+def _headed_lines(path, kind: str, count: str) -> tuple[int, list[str]]:
+    """The stripped non-blank lines of a ``kind`` file, the first of them the
+    header ``n <count>``, and the header's integer."""
+    lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
+    lines = [ln for ln in lines if ln]
+    if not lines:
+        raise ValueError(f"empty {kind} file")
+    header = lines[0].split()
+    if len(header) != 2 or header[0] != "n":
+        raise ValueError(f"expected header 'n <{count}>', got {lines[0]!r}")
+    return int(header[1]), lines
 
 
-def _parse_edges(block: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The edge block read line by line; errors name the first bad line."""
-    pairs = np.empty((len(block), 2), dtype=np.intp)
-    weights = np.empty(len(block))
-    for i, ln in enumerate(block):
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"bad edge line {ln!r}")
-        pairs[i] = int(parts[0]), int(parts[1])
-        weights[i] = float(parts[2])
-    return pairs, weights
+def _read_block(lines: list[str], dtype: np.dtype, kind: str | None) -> np.ndarray:
+    """``lines`` as records of ``dtype``: one ``np.loadtxt`` pass, or on a
+    miss a line loop that raises the error of the first bad line.
+
+    The loop splits a line into tokens (with ``kind`` None the whole line
+    is its one token), refuses a wrong token count as ``bad <kind> line``
+    and reads each field's run with ``int()`` or ``float()``. A run is
+    stored before the next is read, so an index beyond ``intp`` is refused
+    before a bad weight on its line.
+    """
+    rows = _c_pass(np.loadtxt, lines, dtype=dtype, comments=None, ndmin=1)
+    if rows is not None:
+        return rows
+    rows = np.empty(len(lines), dtype)
+    fields = [(rows[name], int if rows[name].dtype.kind == "i" else float) for name in dtype.names]
+    width = sum(column.shape[1] for column, _ in fields)
+    for i, ln in enumerate(lines):
+        tokens = ln.split() if kind else [ln]
+        if len(tokens) != width:
+            raise ValueError(f"bad {kind} line {ln!r}")
+        for column, parse in fields:
+            column[i] = [parse(tok) for tok in tokens[: column.shape[1]]]
+            tokens = tokens[column.shape[1] :]
+    return rows
 
 
 def save_matrix(matrix: np.ndarray, path) -> None:
@@ -180,22 +185,12 @@ def save_signal(x: np.ndarray, path) -> None:
 
 def load_signal(path) -> np.ndarray:
     with _naming(path):
-        lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
-        lines = [ln for ln in lines if ln]
-        if not lines:
-            raise ValueError("empty signal file")
-        header = lines[0].split()
-        if len(header) != 2 or header[0] != "n":
-            raise ValueError(f"expected header 'n <len>', got {lines[0]!r}")
-        length = int(header[1])
+        length, lines = _headed_lines(path, "signal", "len")
         if length < 0:
             raise ValueError(f"header '{lines[0]}' has a negative length")
         if len(lines) - 1 != length:
             raise ValueError(f"expected {length} values, found {len(lines) - 1}")
-        values = _c_pass(np.loadtxt, lines[1:], comments=None, ndmin=2)
-        if values is None or values.shape[1] != 1:
-            values = np.array([float(ln) for ln in lines[1:]])
-        return _finite(values.ravel())
+        return _finite(_read_block(lines[1:], _VALUE, None)["v"][:, 0])
 
 
 def save_trace_csv(design: SamplingDesign, path) -> None:

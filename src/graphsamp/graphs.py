@@ -10,6 +10,7 @@ from scipy.sparse import coo_matrix, csc_matrix
 from .seeds import _UINT64_MASK, _count, _integer, _neighbour_count, _seed, _vertex_count
 
 MAX_PLACEMENT_ATTEMPTS = 50
+_DISCONNECTED = "graph is not connected"
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +68,7 @@ class Graph:
             object.__setattr__(self, "coordinates", coords)
         # fewer than n - 1 edges cannot connect n vertices: refused before any n-sized array
         if len(self.edges) < n - 1 or _component_count(n, self.edges) != 1:
-            raise ValueError("graph is not connected")
+            raise ValueError(_DISCONNECTED)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,10 +177,12 @@ def random_sensor_graph(n: int, k: int, seed: int) -> Graph:
             continue  # coincident placement; resample
         keys = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
         pairs = np.column_stack(np.divmod(keys, n))
-        if _component_count(n, pairs) != 1:
-            continue
         weights = np.exp(-dist[pairs[:, 0], pairs[:, 1]] ** 2 / (2.0 * sigma**2))
-        return Graph(n, pairs, weights, points)
+        try:  # the constructor counts components once; resample a disconnected placement
+            return Graph(n, pairs, weights, points)
+        except ValueError as exc:
+            if str(exc) != _DISCONNECTED:
+                raise
     raise RuntimeError(
         f"failed to draw a connected sensor graph in {MAX_PLACEMENT_ATTEMPTS} "
         f"attempts (n={n}, k={k}); parameters look pathological"

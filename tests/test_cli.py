@@ -475,6 +475,19 @@ class TestBenchCommand:
         )
         assert not (tmp_path / "o").exists()
 
+    def test_response_negative_inside_spectrum_names_its_keys(self, tmp_path, capsys):
+        """A negative slope that fails only below the trial graph's λ_max is
+        refused by the trial, still naming the keys that set the response."""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n 24\nk 6\ngraph_k 4\nresponse.slope -1\nresponse.offset 0.1\n")
+        rc = main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: trial 0 failed: config key response.slope/response.offset: spectral "
+            "response must be positive on the whole spectrum (min value -"
+        )
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [

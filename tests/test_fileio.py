@@ -502,12 +502,15 @@ class TestLinesAgainstLineLoop:
             ("n 2\ncoords\n0.0 0.0\n0 1 1.0\n", "bad coords line '0 1 1.0'"),
             ("n 3\ncoords\n0.0 0.0\n", "coords block needs 3 lines"),
             ("n 2\n0 1 1.0 2.0\n", "bad edge line '0 1 1.0 2.0'"),
+            # both indices are read, then stored, then the weight is read
+            (f"n 2\n0 {2**63} x\n", "Python int too large to convert to C long"),
+            (f"n 2\n{2**63} x 1.0\n", "invalid literal for int() with base 10: 'x'"),
         ],
         ids=[
             "single-vertex", "single-vertex-coords", "separators", "plus-infinity", "overflow",
             "nan", "underscore", "arabic-digit", "float-index", "beyond-int64", "hex-float",
             "comment-mark", "bad-weight", "edge-in-coords-block", "short-coords-block",
-            "long-edge",
+            "long-edge", "beyond-int64-then-bad-weight", "beyond-int64-then-bad-index",
         ],
     )
     def test_pinned_graph_cases(self, tmp_path, text, message):

@@ -371,6 +371,25 @@ class TestRandomSensorGraph:
         assert g.weights.tobytes() == expected.weights.tobytes()
         assert g.coordinates.tobytes() == expected.coordinates.tobytes()
 
+    @pytest.mark.parametrize(
+        "n, k, seed, placements", [(256, 6, 1, 1), (40, 2, 0, 3), (24, 2, 1, 2)]
+    )
+    def test_one_component_count_per_placement(self, monkeypatch, n, k, seed, placements):
+        """The constructor's count alone decides a resample: every placement
+        drawn here has at least n - 1 edges, so each is counted once, and the
+        graph returned is the last one drawn."""
+        calls = []
+
+        def counting(n, pairs):
+            calls.append(len(pairs))
+            return _component_count(n, pairs)
+
+        monkeypatch.setattr("graphsamp.graphs._component_count", counting)
+        g = random_sensor_graph(n, k, seed)
+        assert len(calls) == placements
+        points = np.random.default_rng(seed + placements - 1).random((n, 2))
+        assert g.coordinates.tobytes() == points.tobytes()
+
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
             random_sensor_graph(1, 1, seed=0)
