@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import coo_matrix, csc_matrix
 
 from .seeds import _UINT64_MASK, _count, _integer, _neighbour_count, _seed, _vertex_count
+
+if TYPE_CHECKING:
+    from scipy.sparse import csc_matrix
 
 MAX_PLACEMENT_ATTEMPTS = 50
 _DISCONNECTED = "graph is not connected"
@@ -196,6 +199,8 @@ def laplacian(graph: Graph) -> csc_matrix:
     Degrees are ``np.bincount`` sums of the edge weights. The matrix is
     symmetric, so it is also its own CSR transpose.
     """
+    from scipy.sparse import coo_matrix  # scipy loads only where a sparse matrix is built
+
     n = graph.num_vertices
     u, v = graph.edges.T
     w = graph.weights
@@ -207,6 +212,17 @@ def laplacian(graph: Graph) -> csc_matrix:
     return coo_matrix((data, (rows, cols)), shape=(n, n)).tocsc()
 
 
+def _real_csc(matrix, name: str) -> csc_matrix:
+    """``matrix`` as a float CSC matrix. Complex input is refused by name:
+    the float conversion would drop its imaginary part with only a warning."""
+    from scipy.sparse import csc_matrix  # scipy loads only where a sparse matrix is built
+
+    dtype = matrix.dtype if hasattr(matrix, "dtype") else np.asarray(matrix).dtype
+    if dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got complex dtype {dtype}")
+    return csc_matrix(matrix, dtype=float)
+
+
 def eigendecompose(matrix) -> Spectrum:
     """Full spectral decomposition of a symmetric matrix, read as CSC.
 
@@ -216,12 +232,15 @@ def eigendecompose(matrix) -> Spectrum:
     in place so its largest-magnitude entry (lowest index on ties) is positive.
 
     Raises:
-        ValueError: if the input is not square, finite and symmetric.
+        ValueError: if the input is not a non-empty square matrix, real,
+            finite and symmetric.
     """
     shape = np.shape(matrix)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"expected a square matrix, got shape {shape}")
-    A = csc_matrix(matrix, dtype=float)
+    if shape[0] == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {shape}")
+    A = _real_csc(matrix, "matrix")
     if not np.all(np.isfinite(A.data)):
         raise ValueError("matrix has a non-finite entry (nan or inf)")
     scale = float(np.max(np.abs(A.data), initial=1.0))

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csc_matrix
 
-from .graphs import Spectrum
+from .graphs import Spectrum, _real_csc
 from .seeds import _seed
+
+if TYPE_CHECKING:
+    from scipy.sparse import csc_matrix
 
 MODEL_KINDS = ("gmrf", "pwl")
 
@@ -59,7 +62,7 @@ def pwl_signal(lap: csc_matrix, density: float, seed: int) -> np.ndarray:
     """
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must lie in (0, 1], got {density}")
-    L = csc_matrix(lap, dtype=float)
+    L = _real_csc(lap, "Laplacian")
     n = L.shape[0]
     if L.shape != (n, n):
         raise ValueError(f"Laplacian must be square, got shape {L.shape}")

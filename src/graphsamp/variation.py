@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csc_matrix, identity
 
 from .graphs import Spectrum
 
 if TYPE_CHECKING:
+    from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import SuperLU
 
 
@@ -136,6 +136,7 @@ def build_sparse_variation_operator(
         ValueError: if the response is not strictly positive on the
             spectrum, or the operator is numerically singular.
     """
+    from scipy.sparse import identity
     from scipy.sparse.linalg import splu  # loads scipy's sparse solvers only where one runs
 
     n = lap.shape[0]

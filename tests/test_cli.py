@@ -521,29 +521,49 @@ class TestRenderCommand:
         assert out.read_text().startswith("<?xml")
 
 
+def _fresh_python(code: str) -> str:
+    """Standard output of ``code`` run by a new interpreter that imports this graphsamp."""
+    src = str(Path(graphsamp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return result.stdout
+
+
 class TestImportFootprint:
     def test_import_does_not_load_scipy_spatial(self):
         """Importing scipy.spatial alone adds several MB of RSS and tens of
         milliseconds, which the benchmark's memory and setup figures count."""
-        src = str(Path(graphsamp.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = "import sys, graphsamp, graphsamp.cli; print('scipy.spatial' in sys.modules)"
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert result.stdout.strip() == "False"
+        assert _fresh_python(code).strip() == "False"
+
+    def test_import_and_render_load_no_scipy(self, tmp_path, graph_file):
+        """``render`` reads a graph and a signal and writes an SVG, which needs
+        numpy alone: scipy loads only where a sparse matrix is built or factored,
+        and importing it is most of a ``render`` process's time and memory."""
+        _, gpath = graph_file
+        xpath = tmp_path / "x.txt"
+        save_signal(np.linspace(-1.0, 1.0, 24), xpath)
+        out = tmp_path / "fig.svg"
+        argv = ["render", "--graph", str(gpath), "--signal", str(xpath), "--out", str(out)]
+        code = f"""
+import sys
+import graphsamp, graphsamp.cli
+assert graphsamp.cli.main({argv!r}) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+        assert _fresh_python(code).splitlines()[-1] == "[]"
 
     def test_solver_stack_loaded_only_where_a_solve_runs(self, tmp_path):
         """A GMRF trial, ``design`` and ``render`` need no sparse factor or
         ARPACK, so they leave scipy's sparse solvers and ``scipy.linalg``
         unloaded (11 MB of RSS); ``reconstruct`` factors F, so it loads
         them."""
-        src = str(Path(graphsamp.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = f"""
 import sys
 import numpy as np
@@ -563,11 +583,4 @@ assert main(["reconstruct", "--graph", out + "/d/graph.txt", "--sampling", out +
              "--signal", out + "/x.txt", "--out-dir", out + "/r"]) == 0
 print("loaded:", before, "scipy.sparse.linalg" in sys.modules)
 """
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert result.stdout.splitlines()[-1] == "loaded: [] True"
+        assert _fresh_python(code).splitlines()[-1] == "loaded: [] True"

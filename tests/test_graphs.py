@@ -502,6 +502,19 @@ class TestEigendecompose:
             eigendecompose(np.ones(shape))
         assert str(info.value) == f"expected a square matrix, got shape {shape}"
 
+    @pytest.mark.parametrize("as_input", [np.array, csc_matrix], ids=["dense", "sparse"])
+    def test_complex_rejected_by_dtype(self, as_input):
+        """The float conversion would keep only the real part, whose eigenvalues
+        are [2, 2], not the Hermitian matrix's [1, 3]."""
+        with pytest.raises(ValueError) as info:
+            eigendecompose(as_input(np.array([[2, 1j], [-1j, 2]])))
+        assert str(info.value) == "matrix must be real, got complex dtype complex128"
+
+    def test_empty_rejected_by_shape(self):
+        with pytest.raises(ValueError) as info:
+            eigendecompose(np.zeros((0, 0)))
+        assert str(info.value) == "expected a non-empty square matrix, got shape (0, 0)"
+
     @pytest.mark.parametrize(
         "entries, message",
         [([[1.0, np.nan], [np.nan, 1.0]], "non-finite"), ([[0.0, 1.0], [0.0, 0.0]], "symmetric")],

@@ -149,6 +149,13 @@ class TestPwlSignal:
         with pytest.raises(ValueError, match="density"):
             pwl_signal(L, 0.0, seed=0)
 
+    def test_complex_laplacian_rejected_by_dtype(self):
+        """The float conversion would drop the imaginary part with only a warning."""
+        L = laplacian(random_sensor_graph(8, 3, seed=11)).astype(complex)
+        with pytest.raises(ValueError) as info:
+            pwl_signal(L, 0.25, seed=0)
+        assert str(info.value) == "Laplacian must be real, got complex dtype complex128"
+
 
 class TestGenerateSignal:
     def test_dispatch_and_seed_override(self, small_graph):
