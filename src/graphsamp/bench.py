@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .design import DesignConfig, design_sampling_operator
-from .fileio import _fmt
 from .graphs import eigendecompose, laplacian, random_sensor_graph
 from .reconstruct import build_pipeline, sample
 from .seeds import (
@@ -32,7 +31,6 @@ from .variation import SpectralResponse, _check_response, build_variation_operat
 
 METHOD_PROPOSED = "proposed"
 METHOD_RANDOM_VERTEX = "random_vertex"
-BASELINE_CHOICES = (METHOD_RANDOM_VERTEX,)
 
 # purpose tags for the per-trial seed streams
 _GRAPH_STREAM = 0
@@ -65,7 +63,6 @@ class ExperimentConfig:
     model: SignalModelSpec = field(default_factory=SignalModelSpec)
     design: DesignConfig | None = None
     trials: int = 1
-    baseline: str = METHOD_RANDOM_VERTEX  # the one legal value; files may name it
     master_seed: int = 0
     output_dir: str | None = None
     fixed_graph: bool = False
@@ -76,10 +73,6 @@ class ExperimentConfig:
         _neighbour_count("graph_k", self.graph_k, self.n)
         _count("trials", self.trials)
         _seed("master_seed", self.master_seed)
-        if self.baseline not in BASELINE_CHOICES:
-            raise ValueError(
-                f"baseline must be one of {BASELINE_CHOICES}, got {self.baseline!r}"
-            )
         if self.design is None:
             radius = default_radius(self.n, self.num_samples)
             object.__setattr__(self, "design", DesignConfig(epsilon=radius))
@@ -217,16 +210,12 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
 
 def summarize(records: list[TrialRecord]) -> list[MethodSummary]:
     """Per-method mean and population standard deviation of the MSEs."""
-    order: list[str] = []
     grouped: dict[str, list[float]] = {}
     for rec in records:
-        if rec.method not in grouped:
-            order.append(rec.method)
-            grouped[rec.method] = []
-        grouped[rec.method].append(rec.mse)
+        grouped.setdefault(rec.method, []).append(rec.mse)
     summaries = []
-    for method in order:
-        values = np.asarray(grouped[method])
+    for method, mses in grouped.items():
+        values = np.asarray(mses)
         summaries.append(
             MethodSummary(
                 method=method,
@@ -261,6 +250,10 @@ def run_benchmark(cfg: ExperimentConfig) -> ExperimentReport:
     return report
 
 
+def _fmt(value: float) -> str:
+    return repr(float(value))
+
+
 def write_report(report: ExperimentReport, out_dir) -> tuple[Path, Path]:
     """Write trials.csv and summary.csv; byte-stable for a fixed report."""
     out = Path(out_dir)
@@ -286,6 +279,12 @@ def write_report(report: ExperimentReport, out_dir) -> tuple[Path, Path]:
     return trials_path, summary_path
 
 
+def _parse_baseline(raw: str) -> None:
+    """Check the key ``baseline``, which may name only the one baseline every trial runs."""
+    if raw != METHOD_RANDOM_VERTEX:
+        raise ValueError(f"baseline must be one of {(METHOD_RANDOM_VERTEX,)}, got {raw!r}")
+
+
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
@@ -298,15 +297,16 @@ def _parse_bool(raw: str) -> bool:
 
 # config key -> parser of its text; a 'section.name' key sets field
 # ``name`` of ExperimentConfig's ``section`` member, a key missing from a
-# config takes that dataclass's default, and 'design.epsilon' is resolved
-# once n and k are known: a number, or 'auto' for ``default_radius``
+# config takes that dataclass's default, 'design.epsilon' is resolved
+# once n and k are known (a number, or 'auto' for ``default_radius``), and
+# 'baseline' sets nothing
 _CONFIG_PARSERS = {
     "n": int,
     "k": int,
     "graph_k": int,
     "trials": int,
     "master_seed": int,
-    "baseline": str,
+    "baseline": _parse_baseline,
     "fixed_graph": _parse_bool,
     "output_dir": str,
     "response.slope": float,
@@ -337,6 +337,7 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     for key, text in raw.items():
         with _naming(f"config key {key}"):
             values[key] = _CONFIG_PARSERS[key](text)
+    values.pop("baseline", None)
     with _naming("config key n"):
         n = _vertex_count("n", values.pop("n"))
     with _naming("config key k"):

@@ -186,6 +186,8 @@ def design_sampling_operator(
     n = Q.shape[0]
     num_samples = _sample_count("num_samples", num_samples, n)
     m = min(n, ROWS_PER_SAMPLE * num_samples)
+    # at m = n the subset would be Q reordered in memory (Fortran order),
+    # whose products differ from Q's in the last bits
     if m < n:
         keep = np.sort(np.argsort(-scales, kind="stable")[:m])
         scales, Q = scales[keep], Q[:, keep]

@@ -19,11 +19,13 @@ and edges, a signal's values) is read by one helper: one ``np.loadtxt``
 of the stripped lines into a record per line, whose field count numpy
 checks (an edge's two indices are ``intp``, so none is rounded). A pass
 misses where it raises ValueError or warns, or, in a matrix, finds the
-wrong entry count or a non-finite value. The block is then read again
-token by token with ``int()`` and ``float()``, which accept more than
-numpy does (``1_0``, ``٣``, ints beyond int64) and raise the error the
-file gets, naming its line, entry count, token or non-finite value. So
-either pass gives the same bits and the same message.
+wrong entry count or a non-finite value. A matrix body with the wrong
+token count is refused with that count; any other miss is read again by
+one line loop, which takes a matrix body as one token per line. The loop
+reads token by token with ``int()`` and ``float()``, which accept more
+than numpy does (``1_0``, ``٣``, ints beyond int64) and raise the error
+the file gets, naming its line, token or non-finite value. So either
+pass gives the same bits and the same message.
 """
 
 from __future__ import annotations
@@ -38,10 +40,6 @@ from .graphs import Graph
 from .seeds import _count, _naming
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _finite(values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite value (nan or inf)")
@@ -52,10 +50,9 @@ def save_graph(graph: Graph, path) -> None:
     lines = [f"n {graph.num_vertices}"]
     if graph.coordinates is not None:
         lines.append("coords")
-        for x, y in graph.coordinates:
-            lines.append(f"{_fmt(x)} {_fmt(y)}")
+        lines.extend(f"{x!r} {y!r}" for x, y in graph.coordinates.tolist())
     for (u, v), w in zip(graph.edges.tolist(), graph.weights.tolist()):
-        lines.append(f"{u} {v} {_fmt(w)}")
+        lines.append(f"{u} {v} {w!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -124,9 +121,7 @@ def _read_block(lines: list[str], dtype: np.dtype, kind: str | None) -> np.ndarr
 def save_matrix(matrix: np.ndarray, path) -> None:
     M = np.atleast_2d(np.asarray(matrix, dtype=float))
     rows, cols = M.shape
-    lines = [f"{rows} {cols}"]
-    for r in range(rows):
-        lines.append(" ".join(_fmt(v) for v in M[r]))
+    lines = [f"{rows} {cols}"] + [" ".join(map(repr, row)) for row in M.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -143,7 +138,13 @@ def load_matrix(path) -> np.ndarray:
         # not np.fromstring's to read: it reads some blank strings as [-1.]
         values = _c_pass(np.fromstring, body, sep=" ") if body else np.empty(0)
         if values is None or values.size != rows * cols or not np.all(np.isfinite(values)):
-            values = _parse_tokens(body, rows, cols)
+            tokens = body.split()
+            if len(tokens) != rows * cols:
+                raise ValueError(
+                    f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
+                    f"found {len(tokens)}"
+                )
+            values = _finite(_read_block(tokens, _VALUE, None)["v"][:, 0])
         return values.reshape(rows, cols)
 
 
@@ -164,22 +165,9 @@ def _c_pass(parse, *args, **kwargs) -> np.ndarray | None:
             return None
 
 
-def _parse_tokens(body: str, rows: int, cols: int) -> np.ndarray:
-    """``body`` read token by token with ``float()``, which also takes what
-    numpy does not (``1_0``); its errors name the entry count, the first bad
-    token or a non-finite value."""
-    tokens = body.split()
-    if len(tokens) != rows * cols:
-        raise ValueError(
-            f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
-            f"found {len(tokens)}"
-        )
-    return _finite(np.array([float(tok) for tok in tokens]))
-
-
 def save_signal(x: np.ndarray, path) -> None:
     values = np.asarray(x, dtype=float).ravel()
-    lines = [f"n {values.size}"] + [_fmt(v) for v in values]
+    lines = [f"n {values.size}", *map(repr, values.tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -194,7 +182,8 @@ def load_signal(path) -> np.ndarray:
 
 
 def save_trace_csv(design: SamplingDesign, path) -> None:
+    nucs = np.asarray(design.nuclear_norms, dtype=float).tolist()
+    steps = np.asarray(design.step_norms, dtype=float).tolist()
     lines = ["iter,nuclear_norm,step_norm"]
-    for i, (nuc, step) in enumerate(zip(design.nuclear_norms, design.step_norms)):
-        lines.append(f"{i},{_fmt(nuc)},{_fmt(step)}")
+    lines += [f"{i},{nuc!r},{step!r}" for i, (nuc, step) in enumerate(zip(nucs, steps))]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -171,7 +171,6 @@ class TestExperimentConfig:
     def test_defaults(self):
         cfg = ExperimentConfig(n=32, num_samples=8)
         assert cfg.design.epsilon == pytest.approx(np.sqrt(32 * 8))
-        assert cfg.baseline == METHOD_RANDOM_VERTEX
 
     @pytest.mark.parametrize(
         "n, num_samples, message",
@@ -209,8 +208,6 @@ class TestExperimentConfig:
             {"n": 16, "num_samples": 0},
             {"n": 16, "num_samples": 4, "graph_k": 16},
             {"n": 16, "num_samples": 4, "trials": 0},
-            {"n": 16, "num_samples": 4, "baseline": "oracle"},
-            {"n": 16, "num_samples": 4, "baseline": "none"},
             {"n": 32.5, "num_samples": 8},
             {"n": 16, "num_samples": 4.0},
             {"n": 16, "num_samples": 4, "graph_k": 2.5},
