@@ -103,7 +103,7 @@ class TestBuildVariationOperator:
         assert np.max(np.abs(rebuilt - (lap.toarray() + 0.1 * np.eye(20)))) <= 1e-8 * vo.values.max()
 
 
-class TestWhitener:
+class TestVariationOperator:
     def test_gram_identity_against_dense_inverse(self):
         """(AS)^T (AS) equals S^T inv(F^T F) S computed by a dense-inverse oracle."""
         _, vo = _sensor_operator(16, seed=1)
@@ -259,10 +259,10 @@ class TestSparseLaplacian:
         assert (lap - lap.T).count_nonzero() == 0
 
 
-class TestSparseVariationOperator:
+class TestBuildSparseVariationOperator:
     @pytest.mark.parametrize("n", [24, 256, 1024])
     @pytest.mark.parametrize("slope, offset", [(1.0, 0.1), (-0.01, 10.0), (1.0, 1e-6)])
-    def test_solve_gram_matches_spectral(self, n, slope, offset):
+    def test_solve_matches_spectral(self, n, slope, offset):
         """The one sparse solve with F agrees with the spectral solve. At
         offset 1e-6 cond(F) is about 1e7 and the measured gap 2.2e-10 to
         3.7e-10, below cond(F) * eps, so the tolerance is 10 cond(F) eps
