@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import DesignConfig, design_sampling_operator
+from .design import DesignConfig, _check_epsilon, design_sampling_operator
 from .graphs import eigendecompose, laplacian, random_sensor_graph
 from .reconstruct import build_pipeline, sample
 from .seeds import (
@@ -46,9 +46,13 @@ def default_radius(n: int, num_samples: int) -> float:
     return math.sqrt(n * _sample_count("num_samples", num_samples, n))
 
 
-def _radius(epsilon, n: int, num_samples: int) -> float:
-    """The radius of a flag or config value: ``default_radius`` for 'auto', else a number."""
-    return default_radius(n, num_samples) if epsilon == "auto" else float(epsilon)
+def _design_config(epsilon, n: int, num_samples: int, seed: int = 0) -> DesignConfig:
+    """The design config of a flag or config value, whose radius is
+    ``default_radius`` for 'auto', else a number the loop can take for K samples."""
+    radius = default_radius(n, num_samples) if epsilon == "auto" else float(epsilon)
+    config = DesignConfig(radius, seed=seed)
+    _check_epsilon(config.epsilon, num_samples)
+    return config
 
 
 @dataclass(frozen=True)
@@ -182,7 +186,9 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
     graph_seed, design_seed, signal_seed, baseline_seed = trial_seeds(cfg, trial_index)
     setup = _graph_setup if cfg.fixed_graph else _graph_setup.__wrapped__
     lap, spectrum, vo = setup(cfg.n, cfg.graph_k, graph_seed, cfg.response)
-    x = generate_signal(cfg.model, spectrum, lap, seed=signal_seed)
+    # an eta too small for this graph's spectrum can fail only here
+    with _naming("config key model.eta"):
+        x = generate_signal(cfg.model, spectrum, lap, seed=signal_seed)
     design = design_sampling_operator(
         vo.whitener, cfg.num_samples, replace(cfg.design, seed=design_seed)
     )
@@ -347,7 +353,7 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     epsilon = values.pop("design.epsilon", "auto")
     # 'auto' is sqrt(n * k), out of range only when n is
     with _naming(f"config key {'n' if epsilon == 'auto' else 'design.epsilon'}"):
-        design = DesignConfig(_radius(epsilon, n, num_samples))
+        design = _design_config(epsilon, n, num_samples)
     cfg = ExperimentConfig(n, num_samples, graph_k, design=design)
     for key, value in values.items():  # each set on a valid config, so only it can fail
         with _naming(f"config key {key}"):

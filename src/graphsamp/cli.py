@@ -7,7 +7,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .bench import ExperimentConfig, _radius, load_experiment_config, mse, run_benchmark
+from .bench import (
+    ExperimentConfig, _design_config, load_experiment_config, mse, run_benchmark,
+)
 from .design import DesignConfig, design_sampling_operator
 from .fileio import (
     load_graph,
@@ -20,7 +22,7 @@ from .fileio import (
 )
 from .graphs import eigendecompose, laplacian, random_sensor_graph
 from .reconstruct import build_pipeline, sample
-from .render import render_signal_svg
+from .render import _canvas_positions, render_signal_svg
 from .seeds import _naming, _neighbour_count, _sample_count, _seed, _vertex_count
 from .variation import SpectralResponse, build_sparse_variation_operator, build_variation_operator
 
@@ -63,7 +65,7 @@ def _cmd_design(args) -> int:
     with _naming("--k"):
         k = _sample_count("num_samples", args.k, graph.num_vertices)
     with _naming("--epsilon"):
-        config = DesignConfig(_radius(args.epsilon, graph.num_vertices, k), seed=seed)
+        config = _design_config(args.epsilon, graph.num_vertices, k, seed)
     with _naming("--max-iter"):
         config = replace(config, max_iter=args.max_iter)
     spectrum = eigendecompose(laplacian(graph))
@@ -135,8 +137,10 @@ def _cmd_bench(args) -> int:
 def _cmd_render(args) -> int:
     graph, _ = _obtain_graph(args)
     x = load_signal(args.signal)
-    # a graph without coordinates is refused before the signal is looked at
-    with _naming("--graph" if graph.coordinates is None else "--signal"):
+    # a graph that cannot be placed on the canvas is refused before the signal is looked at
+    with _naming("--graph"):
+        _canvas_positions(graph)
+    with _naming("--signal"):
         render_signal_svg(graph, x, args.out)
     print(f"wrote {args.out}")
     return 0

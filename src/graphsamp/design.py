@@ -41,7 +41,14 @@ The step length is ``gamma = STEP_SCALE * epsilon / max(d)``. The
 proximal linearized DC loop reaches a critical point for any gamma > 0
 (Souza, Oliveira & Soubeyran 2016), and this is the one rule that is
 invariant to scale: multiplying d by a and epsilon by b multiplies every
-iterate by b and leaves the iteration count unchanged. The polar factor
+iterate by b and leaves the iteration count unchanged. That holds
+exactly when the Gaussian start is longer than epsilon in both runs, so
+that its projection onto the ball scales it by b too; a start inside
+the ball keeps its own length (on a 64-vertex sensor graph, k = 6 and
+seed 1, with K = 8, an epsilon of 1e150 leaves it inside, and the loop
+takes 250 iterations against 242 at epsilon = 1). epsilon must also
+keep the squares of the loop's norms normal floats, which
+``_check_epsilon`` checks before the first iteration. The polar factor
 comes from the K x K Gram matrix of the whitened iterate, not from its
 n x K SVD; the SVD is kept for iterates too ill-conditioned for the Gram
 matrix to resolve.
@@ -66,6 +73,10 @@ ROWS_PER_SAMPLE = 2
 # the polar factor takes the SVD when the Gram matrix's eigenvalues span
 # more than this ratio, i.e. when cond(M) >= 1e4
 GRAM_COND_LIMIT = 1e8
+# the loop squares the norms of its iterates, so every norm it takes lies
+# between these two, where a square is a normal float
+_NORM_MIN = math.sqrt(np.finfo(float).tiny)
+_NORM_MAX = math.sqrt(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -126,6 +137,24 @@ def project_frobenius_ball(X: np.ndarray, radius: float) -> np.ndarray:
     return X * (radius / norm)
 
 
+def _check_epsilon(epsilon: float, num_samples: int) -> None:
+    """Refuse a radius whose iterates' squared norms underflow or overflow.
+
+    An iterate is never longer than epsilon before a step and
+    ``(1 + STEP_SCALE * sqrt(K)) * epsilon`` after it: the step
+    ``gamma * d * G`` has ``gamma * d <= STEP_SCALE * epsilon`` and a polar
+    factor G of Frobenius norm sqrt(K). Below the lower bound the loop
+    stops at its start on a step norm rounded to 0; above the upper one
+    it fails on an infinite norm.
+    """
+    largest = _NORM_MAX / (1.0 + STEP_SCALE * math.sqrt(num_samples))
+    if not _NORM_MIN <= epsilon <= largest:
+        raise ValueError(
+            f"epsilon must lie in [{_NORM_MIN:.3g}, {largest:.3g}] for K={num_samples}, "
+            f"where the design loop's squared norms are normal floats, got {epsilon:g}"
+        )
+
+
 def _polar_factor(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The polar factor ``U @ V.T`` of M's thin SVD, and M's singular values.
 
@@ -179,12 +208,15 @@ def design_sampling_operator(
     iterations (reported via ``converged``), and returns ``S = Q_m @ T``.
 
     Raises:
-        ValueError: on a non-integer or out-of-range sample count, or a
-            zero whitened iterate (propagated from the subgradient).
+        ValueError: on a non-integer or out-of-range sample count, a
+            radius outside the range where the loop's squared norms are
+            normal floats (``_check_epsilon``), or a zero whitened
+            iterate (propagated from the subgradient).
     """
     scales, Q = whitener.values, whitener.basis
     n = Q.shape[0]
     num_samples = _sample_count("num_samples", num_samples, n)
+    _check_epsilon(config.epsilon, num_samples)
     m = min(n, ROWS_PER_SAMPLE * num_samples)
     # at m = n the subset would be Q reordered in memory (Fortran order),
     # whose products differ from Q's in the last bits

@@ -19,24 +19,49 @@ _MID = (247, 247, 247)
 _HIGH = (180, 4, 38)
 
 
+def _canvas_positions(graph: Graph) -> np.ndarray:
+    """The vertices' positions on the canvas, y flipped to SVG conventions:
+    the unit square maps onto the canvas inside its margin.
+
+    Raises:
+        ValueError: if the graph has no coordinates, or one lies so far
+            out that its position overflows a float.
+    """
+    if graph.coordinates is None:
+        raise ValueError("graph has no coordinates to render")
+    with np.errstate(over="ignore"):  # an overflowed position is refused below
+        pos = _MARGIN + graph.coordinates * (_CANVAS - 2.0 * _MARGIN)
+    pos[:, 1] = _CANVAS - pos[:, 1]
+    off = ~np.isfinite(pos).all(axis=1)
+    if off.any():
+        i = int(np.argmax(off))
+        x, y = graph.coordinates[i].tolist()
+        raise ValueError(
+            f"vertex {i} at ({x:g}, {y:g}) lies too far out to place on the canvas"
+        )
+    return pos
+
+
 def render_signal_svg(graph: Graph, values: np.ndarray, path) -> None:
     """Write an SVG with vertices coloured by signal value.
 
     The colour map is a linear diverging blue/white/red ramp over
     [min(values), max(values)]; a constant signal maps every vertex to
     the white midpoint. Edges render as grey lines beneath the vertex
-    circles, with graph coordinates scaled into the canvas and the
-    y-axis flipped to SVG conventions. The text is joined from strings,
-    one element per edge and per vertex, in the layout
+    circles. Graph coordinates are scaled so that the unit square maps
+    onto the 600 x 600 canvas inside a 24-unit margin, with the y-axis
+    flipped to SVG conventions; coordinates outside the unit square
+    land outside that frame. The text is joined from strings, one
+    element per edge and per vertex, in the layout
     ``xml.etree.ElementTree`` writes with an XML declaration.
 
     Raises:
-        ValueError: if the graph has no coordinates, or the signal's
-            length does not match the vertex count, it has a non-finite
-            value or its range overflows.
+        ValueError: if the graph has no coordinates or one whose canvas
+            position overflows a float, or the signal's length does not
+            match the vertex count, it has a non-finite value or its
+            range overflows.
     """
-    if graph.coordinates is None:
-        raise ValueError("graph has no coordinates to render")
+    pos = _canvas_positions(graph)
     x = np.asarray(values, dtype=float).ravel()
     if x.size != graph.num_vertices:
         raise ValueError(
@@ -48,8 +73,6 @@ def render_signal_svg(graph: Graph, values: np.ndarray, path) -> None:
     span = hi - lo
     if span == math.inf:
         raise ValueError(f"signal range [{lo:g}, {hi:g}] is wider than a float holds")
-    pos = _MARGIN + np.asarray(graph.coordinates) * (_CANVAS - 2.0 * _MARGIN)
-    pos[:, 1] = _CANVAS - pos[:, 1]
     xy = [f"{c:.2f}" for c in pos.ravel().tolist()]
     xs, ys = xy[0::2], xy[1::2]
     lines = [

@@ -9,6 +9,7 @@ import numpy as np
 
 from .graphs import Spectrum, _real_csc
 from .seeds import _seed
+from .variation import SpectralResponse, _check_response
 
 if TYPE_CHECKING:
     from scipy.sparse import csc_matrix
@@ -41,9 +42,23 @@ def gmrf_signal(spectrum: Spectrum, eta: float, seed: int) -> np.ndarray:
 
     Mode i carries an independent N(0, 1/(lam_i + eta)) coefficient in
     the eigenbasis; the proportionality constant is fixed to 1.
+
+    ``L + eta I`` is the field's precision, so eta passes the rule that
+    ``build_variation_operator`` applies to a precision, at λ = 0 and
+    the largest eigenvalue: ``eigh``'s smallest eigenvalue is 0 only to
+    rounding, and an eta below that rounding would take the square root
+    of a negative number.
     """
     if not 0 < eta < np.inf:
         raise ValueError(f"eta must be positive and finite, got {eta}")
+    lam_max = float(spectrum.eigenvalues.max())
+    try:
+        _check_response(SpectralResponse(1.0, eta), lam_max)
+    except ValueError:
+        raise ValueError(
+            f"eta {eta:g} makes L + eta I numerically singular on a spectrum up to "
+            f"{lam_max:g}; eta must exceed 1e-12 of lam_max + eta"
+        ) from None
     rng = np.random.default_rng(_seed("seed", seed))
     n = spectrum.eigenvalues.shape[0]
     coeffs = rng.standard_normal(n) / np.sqrt(spectrum.eigenvalues + eta)

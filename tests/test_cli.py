@@ -156,7 +156,10 @@ class TestDesignCommand:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("flag, value", [("--max-iter", "0"), ("--epsilon", "-1")])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--max-iter", "0"), ("--epsilon", "-1"), ("--epsilon", "1e-300"), ("--epsilon", "1e300")],
+    )
     def test_bad_design_flag_costs_no_spectrum(self, tmp_path, capsys, monkeypatch, flag, value):
         """The design knobs are checked before the graph is eigendecomposed."""
 
@@ -488,6 +491,19 @@ class TestBenchCommand:
         )
         assert not (tmp_path / "o").exists()
 
+    def test_eta_below_eigh_rounding_names_its_key(self, tmp_path, capsys):
+        """An eta that makes ``L + eta I`` numerically singular on the trial's
+        graph is refused by the trial, naming its key; no nan MSE is written."""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n 24\nk 6\ntrials 2\nmaster_seed 1\nmodel.eta 1e-17\n")
+        rc = main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: trial 0 failed: config key model.eta: eta 1e-17 makes L + eta I "
+            "numerically singular"
+        )
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -519,6 +535,21 @@ class TestRenderCommand:
         rc = main(["render", "--graph", str(gpath), "--signal", str(xpath), "--out", str(out)])
         assert rc == 0
         assert out.read_text().startswith("<?xml")
+
+    def test_coordinate_off_the_canvas_names_graph(self, tmp_path, capsys):
+        """A coordinate whose canvas position overflows is the graph file's
+        fault, so it is named by --graph, and no SVG is written."""
+        save_graph(Graph(2, [(0, 1)], [1.0], coordinates=[[1e307, 1.0], [0.0, 0.0]]),
+                   tmp_path / "graph.txt")
+        save_signal(np.array([1.0, 2.0]), tmp_path / "x.txt")
+        out = tmp_path / "fig.svg"
+        rc = main(["render", "--graph", str(tmp_path / "graph.txt"),
+                   "--signal", str(tmp_path / "x.txt"), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --graph: vertex 0 at (1e+307, 1) lies too far out to place on the canvas\n"
+        )
+        assert not out.exists()
 
 
 def _fresh_python(code: str) -> str:

@@ -50,6 +50,7 @@ from graphsamp.design import (
     STEP_SCALE,
     STOP_TOL,
     SamplingDesign,
+    _check_epsilon,
     _polar_factor,
 )
 from graphsamp.variation import VariationOperator
@@ -502,6 +503,43 @@ class TestStepRule:
         np.testing.assert_array_equal(scaled.frobenius_norms, base.frobenius_norms * 2.0**-2)
         np.testing.assert_array_equal(scaled.step_norms, base.step_norms * 2.0**-2)
         np.testing.assert_array_equal(scaled.nuclear_norms, base.nuclear_norms * 2.0)
+
+
+class TestRadiusWindow:
+    """epsilon must keep the squares of the loop's norms normal floats:
+    at least sqrt(tiny), and at most sqrt(max) / (1 + STEP_SCALE sqrt(K))."""
+
+    @pytest.mark.parametrize("eps", [1e-300, 1e-158, 1e153, 1e300])
+    def test_refused_before_any_iteration(self, monkeypatch, eps):
+        """Outside the window the loop stopped at its start, reported
+        converged, or failed on an infinite norm partway through."""
+
+        def refuse(M):
+            raise AssertionError("a refused radius runs no iteration")
+
+        monkeypatch.setattr(design_module, "_polar_factor", refuse)
+        window = r"^epsilon must lie in \[1\.49e-154, 4\.58e\+152\] for K=8"
+        with pytest.raises(ValueError, match=window):
+            design_sampling_operator(_whitener(64, seed=0), 8, DesignConfig(epsilon=eps))
+
+    @pytest.mark.parametrize("eps", [1e-150, 1e152])
+    def test_window_ends_reach_certificate(self, eps):
+        """Just inside either end the loop still reaches the optimum
+        ``eps * ||d_(1..K)||`` within 1e-4, inside the ball."""
+        W = _whitener(64, seed=0)
+        design = design_sampling_operator(W, 8, DesignConfig(epsilon=eps))
+        assert design.converged
+        assert np.linalg.norm(design.matrix) <= eps * (1 + 1e-12)
+        dense = dense_whitener(W)
+        achieved = nuclear_norm(dense @ (design.matrix / eps))
+        bound = np.linalg.norm(np.linalg.svd(dense, compute_uv=False)[:8])
+        assert bound * (1 - 1e-4) <= achieved <= bound * (1 + 1e-12)
+
+    @pytest.mark.parametrize("n", [2, 64, 1024, 2**20, 2**40])
+    def test_auto_radius_inside_window(self, n):
+        """sqrt(n K) is inside the window for every K < n up to n = 2**40."""
+        for K in sorted({1, n // 2, n - 1}):
+            _check_epsilon(default_radius(n, K), K)
 
 
 class TestSpectralLoopAgainstDenseLoop:

@@ -711,6 +711,16 @@ class TestExperimentConfigFile:
                 "config key design.epsilon: epsilon must be positive and finite, got -1.0",
             ),
             (
+                "n 24\nk 4\ndesign.epsilon 1e-300\n",
+                "config key design.epsilon: epsilon must lie in [1.49e-154, 6.38e+152] for K=4, "
+                "where the design loop's squared norms are normal floats, got 1e-300",
+            ),
+            (
+                "n 24\nk 4\ndesign.epsilon 1e300\n",
+                "config key design.epsilon: epsilon must lie in [1.49e-154, 6.38e+152] for K=4, "
+                "where the design loop's squared norms are normal floats, got 1e+300",
+            ),
+            (
                 "n 24\nk 4\ndesign.max_iter 0\n",
                 "config key design.max_iter: max_iter must be at least 1, got 0",
             ),
@@ -761,7 +771,8 @@ class TestExperimentConfigFile:
             ),
         ],
         ids=[
-            "k-too-large", "k-zero", "graph_k", "n", "epsilon", "max_iter", "trials",
+            "k-too-large", "k-zero", "graph_k", "n", "epsilon", "epsilon-underflow",
+            "epsilon-overflow", "max_iter", "trials",
             "master_seed", "baseline", "model.kind", "model.eta", "model.density", "auto-radius",
             "offset-zero", "offset-negative", "slope-inf", "offset-nan",
         ],

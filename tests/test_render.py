@@ -70,6 +70,14 @@ class TestRenderSignalSvg:
             render_signal_svg(g, np.array([0.0, bad]), out)
         assert not out.exists()
 
+    def test_coordinate_off_the_float_range_rejected(self, tmp_path):
+        """1e307 scaled onto the canvas is inf, which would be written as cx="inf"."""
+        g = Graph(2, [(0, 1)], [1.0], coordinates=np.array([[1e307, 1.0], [0.0, 0.0]]))
+        out = tmp_path / "fig.svg"
+        with pytest.raises(ValueError, match=r"^vertex 0 at \(1e\+307, 1\) lies too far out"):
+            render_signal_svg(g, np.array([0.0, 1.0]), out)
+        assert not out.exists()
+
     def test_overflowing_range_rejected(self, tmp_path):
         """max - min is inf, so no vertex has a place on the ramp."""
         g = Graph(2, [(0, 1)], [1.0], coordinates=np.array([[0.0, 0.0], [1.0, 1.0]]))

@@ -81,6 +81,18 @@ class TestGmrfSignal:
             with pytest.raises(ValueError, match="eta"):
                 gmrf_signal(spectrum, eta, seed=0)
 
+    def test_eta_below_eigh_rounding_rejected(self, small_graph):
+        """eigh's smallest eigenvalue is 0 only to rounding, so an eta below
+        1e-12 of lam_max + eta, where ``L + eta I`` is numerically singular,
+        is refused rather than left to a square root of a negative number."""
+        _, _, spectrum = small_graph
+        lam_max = float(spectrum.eigenvalues.max())
+        with pytest.raises(
+            ValueError, match=r"^eta 1e-17 makes L \+ eta I numerically singular"
+        ):
+            gmrf_signal(spectrum, 1e-17, seed=0)
+        assert np.all(np.isfinite(gmrf_signal(spectrum, 1e-10 * lam_max, seed=0)))
+
 
 class TestPwlSignal:
     def test_deterministic(self):
