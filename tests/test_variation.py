@@ -301,7 +301,7 @@ class TestBuildSparseVariationOperator:
         ],
     )
     @pytest.mark.parametrize("route", ["spectral", "sparse", "reconstruct"])
-    def test_same_rejection_on_every_route(self, route, slope, offset, message, tmp_path, capsys):
+    def test_every_route_same_message(self, route, slope, offset, message, tmp_path, capsys):
         """The spectral builder, the sparse builder and ``graphsamp
         reconstruct`` reject each response with the same message. The path
         graph on two vertices has spectrum {0, 2} exactly."""
