@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import DesignConfig, _check_epsilon, design_sampling_operator
+from .design import DesignConfig, _check_epsilon, _check_scale, design_sampling_operator
 from .graphs import eigendecompose, laplacian, random_sensor_graph
 from .reconstruct import build_pipeline, sample
 from .seeds import (
@@ -189,8 +189,12 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
     # an eta too small for this graph's spectrum can fail only here
     with _naming("config key model.eta"):
         x = generate_signal(cfg.model, spectrum, lap, seed=signal_seed)
+    whitener = vo.whitener
+    # the whitener's scale is known only with the trial's spectrum
+    with _naming("config key design.epsilon/response.slope/response.offset"):
+        _check_scale(float(whitener.values.max()), cfg.design.epsilon, cfg.num_samples)
     design = design_sampling_operator(
-        vo.whitener, cfg.num_samples, replace(cfg.design, seed=design_seed)
+        whitener, cfg.num_samples, replace(cfg.design, seed=design_seed)
     )
     baseline = random_vertex_selection(cfg.n, cfg.num_samples, baseline_seed)
     arms = (

@@ -10,7 +10,7 @@ from pathlib import Path
 from .bench import (
     ExperimentConfig, _design_config, load_experiment_config, mse, run_benchmark,
 )
-from .design import DesignConfig, design_sampling_operator
+from .design import DesignConfig, _check_scale, design_sampling_operator
 from .fileio import (
     load_graph,
     load_matrix,
@@ -71,8 +71,10 @@ def _cmd_design(args) -> int:
     spectrum = eigendecompose(laplacian(graph))
     response = SpectralResponse(args.response_slope, args.response_offset)
     with _naming("--response-slope/--response-offset"):
-        vo = build_variation_operator(spectrum, response)
-    design = design_sampling_operator(vo.whitener, k, config)
+        whitener = build_variation_operator(spectrum, response).whitener
+    with _naming("--epsilon/--response-slope/--response-offset"):
+        _check_scale(float(whitener.values.max()), config.epsilon, k)
+    design = design_sampling_operator(whitener, k, config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_matrix(design.matrix, out / "S.txt")

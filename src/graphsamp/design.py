@@ -46,12 +46,22 @@ exactly when the Gaussian start is longer than epsilon in both runs, so
 that its projection onto the ball scales it by b too; a start inside
 the ball keeps its own length (on a 64-vertex sensor graph, k = 6 and
 seed 1, with K = 8, an epsilon of 1e150 leaves it inside, and the loop
-takes 250 iterations against 242 at epsilon = 1). epsilon must also
-keep the squares of the loop's norms normal floats, which
-``_check_epsilon`` checks before the first iteration. The polar factor
-comes from the K x K Gram matrix of the whitened iterate, not from its
-n x K SVD; the SVD is kept for iterates too ill-conditioned for the Gram
-matrix to resolve.
+takes 250 iterations against 242 at epsilon = 1).
+
+So the loop runs at unit scale: on d and epsilon divided by the powers
+of two ``2^f`` and ``2^e`` that bring max(d) and epsilon into [0.5, 1),
+from the projected start divided by ``2^e``. It multiplies S and the
+trace's step and Frobenius norms by ``2^e``, and the nuclear norms by
+``2^(f+e)``, on return. A power of two scales every product, sum, square
+root and quotient exactly, barring underflow, so a run is the unscaled
+loop bit for bit wherever LAPACK does not rescale that loop's Gram
+matrix, and one numeric path serves every accepted response and radius.
+``_check_scale`` refuses a radius and whitener whose optimal nuclear
+norm, scaled back, would not be a normal float. ``_check_epsilon`` keeps
+the square of S's norm a normal float, because ``build_pipeline`` forms
+``S.T F^-1 S``. The polar factor comes from the K x K Gram matrix of the
+whitened iterate, not from its n x K SVD; the SVD is kept for iterates
+too ill-conditioned for the Gram matrix to resolve.
 """
 
 from __future__ import annotations
@@ -73,8 +83,8 @@ ROWS_PER_SAMPLE = 2
 # the polar factor takes the SVD when the Gram matrix's eigenvalues span
 # more than this ratio, i.e. when cond(M) >= 1e4
 GRAM_COND_LIMIT = 1e8
-# the loop squares the norms of its iterates, so every norm it takes lies
-# between these two, where a square is a normal float
+# build_pipeline squares S, so epsilon lies between these two, where its
+# square is a normal float
 _NORM_MIN = math.sqrt(np.finfo(float).tiny)
 _NORM_MAX = math.sqrt(np.finfo(float).max)
 
@@ -138,20 +148,50 @@ def project_frobenius_ball(X: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _check_epsilon(epsilon: float, num_samples: int) -> None:
-    """Refuse a radius whose iterates' squared norms underflow or overflow.
+    """Refuse a radius whose designed matrix ``build_pipeline`` cannot square.
 
-    An iterate is never longer than epsilon before a step and
-    ``(1 + STEP_SCALE * sqrt(K)) * epsilon`` after it: the step
-    ``gamma * d * G`` has ``gamma * d <= STEP_SCALE * epsilon`` and a polar
-    factor G of Frobenius norm sqrt(K). Below the lower bound the loop
-    stops at its start on a step norm rounded to 0; above the upper one
-    it fails on an infinite norm.
+    The unit-scale loop does not need this window, but the pipeline
+    forms ``S.T F^-1 S``. On a 64-vertex sensor graph with the default
+    response, a design of Frobenius norm 1e-150 or 1e150 reconstructs as
+    one of norm 1 does. At 1e-160 the correction overflows in a divide,
+    at 1e-300 it falls back to the pseudo-inverse (MSE 1.58 against
+    0.269), and at 1e160 the product overflows. The window is the one
+    the unscaled loop needed: at least sqrt(tiny), and at most
+    ``sqrt(max) / (1 + STEP_SCALE * sqrt(K))``, that loop's longest
+    iterate after a step being ``(1 + STEP_SCALE * sqrt(K)) * epsilon``.
     """
     largest = _NORM_MAX / (1.0 + STEP_SCALE * math.sqrt(num_samples))
     if not _NORM_MIN <= epsilon <= largest:
         raise ValueError(
             f"epsilon must lie in [{_NORM_MIN:.3g}, {largest:.3g}] for K={num_samples}, "
             f"where the design loop's squared norms are normal floats, got {epsilon:g}"
+        )
+
+
+def _check_scale(largest: float, epsilon: float, num_samples: int) -> None:
+    """Refuse a radius and whitener whose optimal nuclear norm is not a normal float.
+
+    The optimal nuclear norm ``epsilon * ||d_(1..K)||`` lies between
+    ``largest * epsilon`` and sqrt(K) times it, ``largest`` being max(d),
+    and no iterate in the ball exceeds sqrt(K) times it. The loop runs at
+    unit scale and multiplies its nuclear norms back by the powers of two
+    it took out, so past the upper bound, which leaves a factor of 2 for
+    rounding, one would be written as inf, and below the lower one the
+    converged trace would end in subnormals or 0. Near the lower bound an
+    early iterate's nuclear norm can still be subnormal. The product is
+    compared through its exponents, so it is never formed.
+    """
+    (a, f), (b, e) = math.frexp(largest), math.frexp(epsilon)
+    # largest * epsilon is a * b * 2**(f + e), with a * b in [0.25, 1)
+    low = math.frexp(a * b)[1] + f + e
+    high = math.frexp(a * b * math.sqrt(num_samples))[1] + f + e
+    limits = np.finfo(float)
+    if not (low > limits.minexp and high < limits.maxexp):
+        top = math.ldexp(1.0, limits.maxexp - 1) / math.sqrt(num_samples)
+        raise ValueError(
+            f"epsilon times the whitener's largest scale must lie in "
+            f"[{limits.tiny:.3g}, {top:.3g}] for K={num_samples}, where the optimal "
+            f"nuclear norm is a normal float, got {epsilon:g} times {largest:g}"
         )
 
 
@@ -206,35 +246,45 @@ def design_sampling_operator(
     Stops when
     ``||T_next - T||_F <= STOP_TOL * ||T||_F`` or after ``max_iter``
     iterations (reported via ``converged``), and returns ``S = Q_m @ T``.
+    All of this runs at unit scale, d and epsilon divided by powers of
+    two, which the result and the trace are multiplied back by.
 
     Raises:
         ValueError: on a non-integer or out-of-range sample count, a
-            radius outside the range where the loop's squared norms are
-            normal floats (``_check_epsilon``), or a zero whitened
-            iterate (propagated from the subgradient).
+            radius outside the range where the square of S's norm is a
+            normal float (``_check_epsilon``), a radius and whitener
+            whose optimal nuclear norm is not (``_check_scale``), or a zero
+            whitened iterate (propagated from the subgradient).
     """
     scales, Q = whitener.values, whitener.basis
     n = Q.shape[0]
     num_samples = _sample_count("num_samples", num_samples, n)
     _check_epsilon(config.epsilon, num_samples)
+    largest = float(np.max(scales))
+    _check_scale(largest, config.epsilon, num_samples)
+    # the loop runs at unit scale: max(d) and epsilon divided by powers of two
+    f, e = math.frexp(largest)[1], math.frexp(config.epsilon)[1]
+    radius = math.ldexp(config.epsilon, -e)
     m = min(n, ROWS_PER_SAMPLE * num_samples)
     # at m = n the subset would be Q reordered in memory (Fortran order),
     # whose products differ from Q's in the last bits
     if m < n:
         keep = np.sort(np.argsort(-scales, kind="stable")[:m])
         scales, Q = scales[keep], Q[:, keep]
-    d = scales[:, None]
-    step_scales = (STEP_SCALE * config.epsilon / float(np.max(d))) * d
+    d = np.ldexp(scales, -f)[:, None]
+    step_scales = (STEP_SCALE * radius / float(np.max(d))) * d
     rng = np.random.default_rng(config.seed)
-    T = Q.T @ project_frobenius_ball(
-        rng.standard_normal((n, num_samples)), config.epsilon
+    # projected before it is scaled: at epsilon's lower bound the scaled start's
+    # entries reach 2**510, and its squared norm would overflow
+    T = Q.T @ np.ldexp(
+        project_frobenius_ball(rng.standard_normal((n, num_samples)), config.epsilon), -e
     )
     nuc, steps, frobs = [], [], []
     converged = False
     iterations = 0
     for _ in range(config.max_iter):
         G, s = _polar_factor(d * T)
-        T_next = project_frobenius_ball(T + step_scales * G, config.epsilon)
+        T_next = project_frobenius_ball(T + step_scales * G, radius)
         step = float(np.linalg.norm(T_next - T))
         current = float(np.linalg.norm(T))
         nuc.append(float(np.sum(s)))
@@ -246,10 +296,10 @@ def design_sampling_operator(
             converged = True
             break
     return SamplingDesign(
-        matrix=Q @ T,
+        matrix=np.ldexp(Q @ T, e),
         iterations=iterations,
         converged=converged,
-        nuclear_norms=np.asarray(nuc),
-        step_norms=np.asarray(steps),
-        frobenius_norms=np.asarray(frobs),
+        nuclear_norms=np.ldexp(nuc, f + e),
+        step_norms=np.ldexp(steps, e),
+        frobenius_norms=np.ldexp(frobs, e),
     )

@@ -352,6 +352,19 @@ class TestRunBenchmark:
         report = run_benchmark(cfg)
         assert summarize(report.records) == report.summaries
 
+    def test_tiny_response_runs(self):
+        """A response of 1e-300 puts the whitener's scales near 1e300; the
+        design runs at unit scale, so no trial overflows (a RuntimeWarning
+        fails the test) and every MSE is finite."""
+        cfg = ExperimentConfig(
+            n=24, num_samples=6, trials=3, master_seed=1,
+            response=SpectralResponse(1e-290, 1e-300),
+        )
+        report = run_benchmark(cfg)
+        assert len(report.records) == 3 * 2
+        assert all(np.isfinite(r.mse) for r in report.records)
+        assert all(r.design_converged for r in report.records)
+
     def test_pwl_model_runs(self):
         cfg = ExperimentConfig(
             n=32,

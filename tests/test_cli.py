@@ -183,6 +183,43 @@ class TestDesignCommand:
         assert rc == 1
         assert capsys.readouterr().err == "error: loop failed\n"
 
+    def test_tiny_response_designs_at_unit_scale(self, tmp_path, capsys):
+        """A response of 1e-300 makes the whitener's scales about 1e300, whose
+        Gram matrix overflowed before the loop ran at unit scale. S and the
+        trace are finite, and S fills the auto radius sqrt(64 * 8)."""
+        out = tmp_path / "out"
+        rc = main([
+            "design", "--n", "64", "--k", "8", "--response-slope", "1e-290",
+            "--response-offset", "1e-300", "--out-dir", str(out),
+        ])
+        assert rc == 0
+        assert "converged=True" in capsys.readouterr().out
+        S = load_matrix(out / "S.txt")
+        assert np.isfinite(S).all()
+        assert np.linalg.norm(S) == pytest.approx(np.sqrt(512), rel=1e-12)
+        trace = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert np.isfinite(trace).all() and np.all(trace[:, 1] >= np.finfo(float).tiny)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--response-slope", "1e-290", "--response-offset", "1e-300", "--epsilon", "1e10"],
+            ["--response-slope", "1e299", "--response-offset", "1e298", "--epsilon", "1e-150"],
+        ],
+        ids=["inf-nuclear-norm", "zero-nuclear-norm"],
+    )
+    def test_scale_refusal_names_radius_and_response(self, tmp_path, capsys, flags):
+        """Each value passes its own flag's check; their product would put the
+        trace's nuclear norms out of the float range, so all three are named
+        and nothing is written."""
+        rc = main(["design", "--n", "64", "--k", "8", *flags, "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: --epsilon/--response-slope/--response-offset: epsilon times the "
+            "whitener's largest scale must lie in [2.23e-308, 3.18e+307] for K=8"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_missing_graph_source_fails(self, tmp_path, capsys):
         rc = main(["design", "--k", "4", "--out-dir", str(tmp_path)])
         assert rc == 1
@@ -501,6 +538,22 @@ class TestBenchCommand:
         assert capsys.readouterr().err.startswith(
             "error: trial 0 failed: config key model.eta: eta 1e-17 makes L + eta I "
             "numerically singular"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_radius_beyond_response_scale_names_its_keys(self, tmp_path, capsys):
+        """The scale of the whitener is known only with the trial's spectrum,
+        so the trial refuses the radius, naming it and the response keys."""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "n 24\nk 6\ntrials 2\nmaster_seed 1\nresponse.slope 1e-290\n"
+            "response.offset 1e-300\ndesign.epsilon 1e10\n"
+        )
+        rc = main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: trial 0 failed: config key design.epsilon/response.slope/response.offset: "
+            "epsilon times the whitener's largest scale must lie in [2.23e-308, "
         )
         assert not (tmp_path / "o").exists()
 

@@ -14,6 +14,7 @@ Oracles:
   singular values of A.
 """
 
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -51,6 +52,7 @@ from graphsamp.design import (
     STOP_TOL,
     SamplingDesign,
     _check_epsilon,
+    _check_scale,
     _polar_factor,
 )
 from graphsamp.variation import VariationOperator
@@ -486,33 +488,53 @@ class TestGramPolarFactor:
 
 
 class TestStepRule:
-    def test_scale_invariance(self):
-        """Scales times 2**3 and epsilon times 2**-2 give the same iteration
-        count and every iterate times 2**-2. Powers of two scale without
-        rounding, so the equality is exact."""
+    @pytest.mark.parametrize(
+        "p, q",
+        [(3, -2), (300, -2), (-300, -2), (600, -2), (-600, -2), (1000, -500), (-1000, -2)],
+    )
+    def test_scale_invariance(self, monkeypatch, p, q):
+        """Scales times 2**p and epsilon times 2**q give the same iteration
+        count and every iterate times 2**q, with no SVD in either run. The
+        loop runs at unit scale, where powers of two scale without rounding,
+        so the equality is exact even where the Gram matrix of an unscaled
+        iterate would overflow (p = 600) or underflow (p = -600)."""
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(M, *args, **kwargs):
+            calls.append(M.shape)
+            return svd(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         W = _whitener(64, seed=12)
         K = 8
         eps = default_radius(64, K) / 2  # the Gaussian start is projected in both runs
         base = design_sampling_operator(W, K, DesignConfig(epsilon=eps, seed=13))
         scaled = design_sampling_operator(
-            VariationOperator(W.values * 2.0**3, W.basis), K, DesignConfig(epsilon=eps * 2.0**-2, seed=13)
+            VariationOperator(np.ldexp(W.values, p), W.basis), K,
+            DesignConfig(epsilon=math.ldexp(eps, q), seed=13),
         )
         assert base.converged and scaled.converged
         assert scaled.iterations == base.iterations
-        np.testing.assert_array_equal(scaled.matrix, base.matrix * 2.0**-2)
-        np.testing.assert_array_equal(scaled.frobenius_norms, base.frobenius_norms * 2.0**-2)
-        np.testing.assert_array_equal(scaled.step_norms, base.step_norms * 2.0**-2)
-        np.testing.assert_array_equal(scaled.nuclear_norms, base.nuclear_norms * 2.0)
+        np.testing.assert_array_equal(scaled.matrix, np.ldexp(base.matrix, q))
+        np.testing.assert_array_equal(scaled.frobenius_norms, np.ldexp(base.frobenius_norms, q))
+        np.testing.assert_array_equal(scaled.step_norms, np.ldexp(base.step_norms, q))
+        np.testing.assert_array_equal(scaled.nuclear_norms, np.ldexp(base.nuclear_norms, p + q))
+        assert calls == []
 
 
 class TestRadiusWindow:
-    """epsilon must keep the squares of the loop's norms normal floats:
-    at least sqrt(tiny), and at most sqrt(max) / (1 + STEP_SCALE sqrt(K))."""
+    """epsilon must keep the square of S's norm a normal float, since
+    ``build_pipeline`` forms ``S.T F^-1 S``: at least sqrt(tiny), and at
+    most sqrt(max) / (1 + STEP_SCALE sqrt(K)), the window the unscaled loop
+    needed for its own squared norms."""
 
     @pytest.mark.parametrize("eps", [1e-300, 1e-158, 1e153, 1e300])
     def test_refused_before_any_iteration(self, monkeypatch, eps):
-        """Outside the window the loop stopped at its start, reported
-        converged, or failed on an infinite norm partway through."""
+        """Outside the window the unscaled loop stopped at its start,
+        reported converged, or failed on an infinite norm partway through;
+        the unit-scale loop would run, and ``build_pipeline`` would then
+        overflow or fall back to the pseudo-inverse on S."""
 
         def refuse(M):
             raise AssertionError("a refused radius runs no iteration")
@@ -540,6 +562,51 @@ class TestRadiusWindow:
         """sqrt(n K) is inside the window for every K < n up to n = 2**40."""
         for K in sorted({1, n // 2, n - 1}):
             _check_epsilon(default_radius(n, K), K)
+
+
+class TestScaleWindow:
+    """epsilon times max(d) must keep the optimal nuclear norm a normal
+    float: at least tiny, and below 2**1023 / sqrt(K), since the optimal
+    nuclear norm lies between that product and sqrt(K) times it."""
+
+    WINDOW = r"^epsilon times the whitener's largest scale must lie in \[2\.23e-308, "
+
+    @pytest.mark.parametrize(
+        "slope, offset, eps",
+        [(1e-290, 1e-300, 1e10), (1e299, 1e298, 1e-150)],
+        ids=["inf-nuclear-norm", "zero-nuclear-norm"],
+    )
+    def test_refused_before_any_iteration(self, monkeypatch, slope, offset, eps):
+        """Both radii are inside epsilon's own window, and the unscaled loop
+        failed on them with an error that named no input: its Gram matrix
+        overflowed (``Eigenvalues did not converge``), or its whitened
+        iterate underflowed to the zero matrix."""
+
+        def refuse(M):
+            raise AssertionError("a refused radius runs no iteration")
+
+        monkeypatch.setattr(design_module, "_polar_factor", refuse)
+        W = build_variation_operator(
+            eigendecompose(laplacian(random_sensor_graph(64, 6, 0))), SpectralResponse(slope, offset)
+        ).whitener
+        _check_epsilon(eps, 8)
+        with pytest.raises(ValueError, match=self.WINDOW + r"3\.18e\+307\] for K=8"):
+            design_sampling_operator(W, 8, DesignConfig(epsilon=eps))
+
+    @pytest.mark.parametrize("K", [1, 4, 64])
+    def test_bounds_are_exact(self, K):
+        """Each end is accepted and its neighbour outside refused, though
+        the product is never formed. At K = 1, 4 and 64 the top end
+        ``2**1023 / sqrt(K)`` is a power of two, so it is exact too."""
+        tiny = np.finfo(float).tiny
+        top = math.ldexp(1.0, 1023) / math.sqrt(K)
+        for largest in (1.0, 2.0, 2.0**20):
+            low, high = tiny / largest, top / largest
+            _check_scale(largest, low, K)
+            _check_scale(largest, np.nextafter(high, 0.0), K)
+            for eps in (np.nextafter(low, 0.0), high):
+                with pytest.raises(ValueError, match=self.WINDOW):
+                    _check_scale(largest, eps, K)
 
 
 class TestSpectralLoopAgainstDenseLoop:
