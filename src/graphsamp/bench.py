@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import DesignConfig, _check_epsilon, _check_scale, design_sampling_operator
+from .design import DesignConfig, _check_scale, design_sampling_operator
 from .graphs import eigendecompose, laplacian, random_sensor_graph
 from .reconstruct import build_pipeline, sample
 from .seeds import (
@@ -48,11 +48,9 @@ def default_radius(n: int, num_samples: int) -> float:
 
 def _design_config(epsilon, n: int, num_samples: int, seed: int = 0) -> DesignConfig:
     """The design config of a flag or config value, whose radius is
-    ``default_radius`` for 'auto', else a number the loop can take for K samples."""
+    ``default_radius`` for 'auto', else the number given."""
     radius = default_radius(n, num_samples) if epsilon == "auto" else float(epsilon)
-    config = DesignConfig(radius, seed=seed)
-    _check_epsilon(config.epsilon, num_samples)
-    return config
+    return DesignConfig(radius, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,9 @@ def _cmd_reconstruct(args) -> int:
         vo = build_sparse_variation_operator(laplacian(graph), response)
     with _naming("--sampling"):
         pipeline = build_pipeline(vo, S)
-    x_hat = pipeline.reconstruct(sample(S, x))
+    with _naming("--sampling/--signal"):
+        samples = sample(S, x)
+    x_hat = pipeline.reconstruct(samples)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_signal(x_hat, out / "x_hat.txt")

@@ -57,9 +57,9 @@ root and quotient exactly, barring underflow, so a run is the unscaled
 loop bit for bit wherever LAPACK does not rescale that loop's Gram
 matrix, and one numeric path serves every accepted response and radius.
 ``_check_scale`` refuses a radius and whitener whose optimal nuclear
-norm, scaled back, would not be a normal float. ``_check_epsilon`` keeps
-the square of S's norm a normal float, because ``build_pipeline`` forms
-``S.T F^-1 S``. The polar factor comes from the K x K Gram matrix of the
+norm, scaled back, would not be a normal float; ``build_pipeline`` runs
+at unit scale too, so beyond being a finite normal float the radius has
+no other rule. The polar factor comes from the K x K Gram matrix of the
 whitened iterate, not from its n x K SVD; the SVD is kept for iterates
 too ill-conditioned for the Gram matrix to resolve.
 """
@@ -83,10 +83,6 @@ ROWS_PER_SAMPLE = 2
 # the polar factor takes the SVD when the Gram matrix's eigenvalues span
 # more than this ratio, i.e. when cond(M) >= 1e4
 GRAM_COND_LIMIT = 1e8
-# build_pipeline squares S, so epsilon lies between these two, where its
-# square is a normal float
-_NORM_MIN = math.sqrt(np.finfo(float).tiny)
-_NORM_MAX = math.sqrt(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -103,8 +99,9 @@ class DesignConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 < self.epsilon < np.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        tiny = np.finfo(float).tiny
+        if not tiny <= self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and at least {tiny:.3g}, got {self.epsilon}")
         _count("max_iter", self.max_iter)
         _seed("seed", self.seed)
 
@@ -145,27 +142,6 @@ def project_frobenius_ball(X: np.ndarray, radius: float) -> np.ndarray:
     if norm <= radius:
         return X
     return X * (radius / norm)
-
-
-def _check_epsilon(epsilon: float, num_samples: int) -> None:
-    """Refuse a radius whose designed matrix ``build_pipeline`` cannot square.
-
-    The unit-scale loop does not need this window, but the pipeline
-    forms ``S.T F^-1 S``. On a 64-vertex sensor graph with the default
-    response, a design of Frobenius norm 1e-150 or 1e150 reconstructs as
-    one of norm 1 does. At 1e-160 the correction overflows in a divide,
-    at 1e-300 it falls back to the pseudo-inverse (MSE 1.58 against
-    0.269), and at 1e160 the product overflows. The window is the one
-    the unscaled loop needed: at least sqrt(tiny), and at most
-    ``sqrt(max) / (1 + STEP_SCALE * sqrt(K))``, that loop's longest
-    iterate after a step being ``(1 + STEP_SCALE * sqrt(K)) * epsilon``.
-    """
-    largest = _NORM_MAX / (1.0 + STEP_SCALE * math.sqrt(num_samples))
-    if not _NORM_MIN <= epsilon <= largest:
-        raise ValueError(
-            f"epsilon must lie in [{_NORM_MIN:.3g}, {largest:.3g}] for K={num_samples}, "
-            f"where the design loop's squared norms are normal floats, got {epsilon:g}"
-        )
 
 
 def _check_scale(largest: float, epsilon: float, num_samples: int) -> None:
@@ -251,15 +227,13 @@ def design_sampling_operator(
 
     Raises:
         ValueError: on a non-integer or out-of-range sample count, a
-            radius outside the range where the square of S's norm is a
-            normal float (``_check_epsilon``), a radius and whitener
-            whose optimal nuclear norm is not (``_check_scale``), or a zero
-            whitened iterate (propagated from the subgradient).
+            radius and whitener whose optimal nuclear norm is not a normal
+            float (``_check_scale``), or a zero whitened iterate
+            (propagated from the subgradient).
     """
     scales, Q = whitener.values, whitener.basis
     n = Q.shape[0]
     num_samples = _sample_count("num_samples", num_samples, n)
-    _check_epsilon(config.epsilon, num_samples)
     largest = float(np.max(scales))
     _check_scale(largest, config.epsilon, num_samples)
     # the loop runs at unit scale: max(d) and epsilon divided by powers of two
@@ -275,7 +249,7 @@ def design_sampling_operator(
     step_scales = (STEP_SCALE * radius / float(np.max(d))) * d
     rng = np.random.default_rng(config.seed)
     # projected before it is scaled: at epsilon's lower bound the scaled start's
-    # entries reach 2**510, and its squared norm would overflow
+    # squared norm would overflow
     T = Q.T @ np.ldexp(
         project_frobenius_ball(rng.standard_normal((n, num_samples)), config.epsilon), -e
     )

@@ -30,12 +30,15 @@ class PrecisionSolver(Protocol):
 class ReconstructionPipeline:
     """Precomputed operators mapping samples back to a full signal.
 
-    ``prior_matrix`` is the prior covariance ``F^-1`` applied to the
-    sampling matrix and synthesizes the reconstruction, whose range is
-    its column space. ``correction`` is the inverse of the symmetric
+    The pipeline is built at unit scale: with ``2^e`` the power of two
+    that brings the largest entry of ``sampling_matrix`` S into [1, 2),
+    ``prior_matrix`` is the prior covariance ``F^-1`` applied to
+    ``S 2^-e``, and synthesizes the reconstruction, whose range is its
+    column space. ``correction`` is the inverse of the symmetric
     ``sampling_matrix.T @ prior_matrix``, or its Moore-Penrose
     pseudo-inverse when that product is numerically singular (flagged by
-    ``used_pseudo_inverse``).
+    ``used_pseudo_inverse``), so the estimate does not depend on e.
+    ``sampling_matrix`` is S at its own scale.
     """
 
     sampling_matrix: np.ndarray
@@ -60,16 +63,20 @@ class ReconstructionPipeline:
 def build_pipeline(vo: PrecisionSolver, S: np.ndarray) -> ReconstructionPipeline:
     """Build the least-squares reconstruction pipeline for a sampling matrix.
 
-    The prior matrix Q solves ``F Q = S`` through ``vo.solve`` (no
-    explicit inverse), F being the prior's precision; ``vo`` needs
-    nothing else but its ``shape``. So ``Q C S.T x`` is the prior's
-    conditional mean of x given the samples. The correction C inverts
-    ``S.T @ Q = S.T F^-1 S``, which is symmetric, through the
-    eigendecomposition of its symmetric part, keeping the eigenvalues
-    above ``INV_TOL`` relative to the largest in magnitude: the inverse
-    when all are kept, the pseudo-inverse with that cutoff otherwise (a
-    symmetric matrix's singular values are its eigenvalues' magnitudes,
-    so this is the SVD's rule).
+    It is built at unit scale, on ``U = S 2^-e`` with e the binary
+    exponent that puts U's largest entry in [1, 2) (0 for a 0/1
+    selection matrix). The prior matrix Q solves ``F Q = U`` through
+    ``vo.solve`` (no explicit inverse), F being the prior's precision;
+    ``vo`` needs nothing else but its ``shape``. The correction C is
+    ``2^-e`` times the inverse of the symmetric ``U.T @ Q``, taken
+    through the eigendecomposition of its symmetric part, keeping the
+    eigenvalues above ``INV_TOL`` relative to the largest in magnitude:
+    the inverse when all are kept, the pseudo-inverse with that cutoff
+    otherwise (a symmetric matrix's singular values are its eigenvalues'
+    magnitudes, so this is the SVD's rule). So C (pseudo-)inverts
+    ``S.T @ Q``, and ``Q C S.T x`` is the prior's conditional mean of x
+    given the samples. Powers of two scale without rounding, barring
+    underflow, so S times ``2^k`` gives the same estimate bit for bit.
 
     Raises:
         ValueError: if the sampling matrix has the wrong shape, no
@@ -84,27 +91,38 @@ def build_pipeline(vo: PrecisionSolver, S: np.ndarray) -> ReconstructionPipeline
         )
     if not np.all(np.isfinite(S)):
         raise ValueError("sampling matrix has non-finite entries")
-    prior = vo.solve(S)
-    product = S.T @ prior
+    e = int(np.frexp(np.abs(S).max())[1]) - 1
+    unit = np.ldexp(S, -e)
+    prior = vo.solve(unit)
+    product = unit.T @ prior
     w, W = np.linalg.eigh(0.5 * (product + product.T))
     keep = np.abs(w) > INV_TOL * np.abs(w).max()
     return ReconstructionPipeline(
         sampling_matrix=S,
         prior_matrix=prior,
-        correction=(W[:, keep] / w[keep]) @ W[:, keep].T,
+        correction=np.ldexp((W[:, keep] / w[keep]) @ W[:, keep].T, -e),
         used_pseudo_inverse=not keep.all(),
     )
 
 
 def sample(S: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply the sampling map: ``S.T @ x``."""
+    """Apply the sampling map: ``S.T @ x``.
+
+    Raises:
+        ValueError: if the shapes do not match, or a sample is not finite,
+            as when the scales of S and x together overflow.
+    """
     S = np.asarray(S, dtype=float)
     x = np.asarray(x, dtype=float).ravel()
     if S.ndim != 2 or S.shape[0] != x.shape[0]:
         raise ValueError(
             f"sampling matrix shape {S.shape} does not match signal length {x.shape[0]}"
         )
-    return S.T @ x
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = S.T @ x
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples S.T @ x are not finite")
+    return samples
 
 
 def kkt_reconstruct(

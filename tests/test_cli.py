@@ -142,7 +142,7 @@ class TestDesignCommand:
             (["--n", "32", "--k", "4", "--max-iter", "0"],
              "--max-iter: max_iter must be at least 1, got 0"),
             (["--n", "32", "--k", "4", "--epsilon", "-1"],
-             "--epsilon: epsilon must be positive and finite, got -1.0"),
+             "--epsilon: epsilon must be finite and at least 2.23e-308, got -1.0"),
             (["--n", "32", "--k", "4", "--response-offset", "-1"],
              "--response-slope/--response-offset: spectral response must be positive "
              "on the whole spectrum (min value -1)"),
@@ -158,7 +158,7 @@ class TestDesignCommand:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--max-iter", "0"), ("--epsilon", "-1"), ("--epsilon", "1e-300"), ("--epsilon", "1e300")],
+        [("--max-iter", "0"), ("--epsilon", "-1"), ("--epsilon", "5e-324"), ("--epsilon", "inf")],
     )
     def test_bad_design_flag_costs_no_spectrum(self, tmp_path, capsys, monkeypatch, flag, value):
         """The design knobs are checked before the graph is eigendecomposed."""
@@ -388,6 +388,39 @@ class TestReconstructCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {xpath}: could not convert string to float: 'abc'")
+
+    def _reconstruct(self, tmp_path, gpath, S, x, name):
+        save_matrix(S, tmp_path / f"{name}_S.txt")
+        save_signal(x, tmp_path / f"{name}_x.txt")
+        return main(
+            ["reconstruct", "--graph", str(gpath), "--sampling", str(tmp_path / f"{name}_S.txt"),
+             "--signal", str(tmp_path / f"{name}_x.txt"), "--out-dir", str(tmp_path / name)]
+        )
+
+    def test_sampling_matrix_far_below_unit_scale(self, tmp_path, graph_file, capsys):
+        """An S scaled by 1e-160 reconstructs as S does: ``S.T F^-1 S``
+        formed at that scale underflowed, and a NaN x_hat.txt was written."""
+        _, gpath = graph_file
+        rng = np.random.default_rng(4)
+        S, x = rng.standard_normal((24, 6)), rng.standard_normal(24)
+        assert self._reconstruct(tmp_path, gpath, S, x, "unit") == 0
+        assert self._reconstruct(tmp_path, gpath, S * 1e-160, x, "tiny") == 0
+        assert "pseudo-inverse" not in capsys.readouterr().out
+        base = load_signal(tmp_path / "unit" / "x_hat.txt")
+        tiny = load_signal(tmp_path / "tiny" / "x_hat.txt")
+        assert np.linalg.norm(tiny - base) <= 1e-12 * np.linalg.norm(base)
+
+    def test_overflowing_samples_name_sampling_and_signal(self, tmp_path, graph_file, capsys):
+        """S at 1e150 and x at 1e160 are each finite, but their samples are
+        not; both flags are named and no x_hat.txt is written."""
+        _, gpath = graph_file
+        rng = np.random.default_rng(5)
+        S, x = rng.standard_normal((24, 6)) * 1e150, rng.standard_normal(24) * 1e160
+        assert self._reconstruct(tmp_path, gpath, S, x, "big") == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --sampling/--signal: samples S.T @ x are not finite\n"
+        assert "mse" not in captured.out
+        assert not (tmp_path / "big").exists()
 
     def test_sampling_matrix_without_columns_fails(self, tmp_path, graph_file, capsys):
         """An S.txt of shape 24 x 0 is reported by its shape, not a traceback."""

@@ -27,6 +27,8 @@ from helpers import (
     nuclear_subgradient,
     numerical_rank,
 )
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import graphsamp.design as design_module
 from graphsamp import (
@@ -51,7 +53,6 @@ from graphsamp.design import (
     STEP_SCALE,
     STOP_TOL,
     SamplingDesign,
-    _check_epsilon,
     _check_scale,
     _polar_factor,
 )
@@ -506,52 +507,72 @@ class TestStepRule:
             return svd(M, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        W = _whitener(64, seed=12)
-        K = 8
-        eps = default_radius(64, K) / 2  # the Gaussian start is projected in both runs
-        base = design_sampling_operator(W, K, DesignConfig(epsilon=eps, seed=13))
-        scaled = design_sampling_operator(
-            VariationOperator(np.ldexp(W.values, p), W.basis), K,
-            DesignConfig(epsilon=math.ldexp(eps, q), seed=13),
-        )
-        assert base.converged and scaled.converged
-        assert scaled.iterations == base.iterations
-        np.testing.assert_array_equal(scaled.matrix, np.ldexp(base.matrix, q))
-        np.testing.assert_array_equal(scaled.frobenius_norms, np.ldexp(base.frobenius_norms, q))
-        np.testing.assert_array_equal(scaled.step_norms, np.ldexp(base.step_norms, q))
-        np.testing.assert_array_equal(scaled.nuclear_norms, np.ldexp(base.nuclear_norms, p + q))
+        _assert_scaled_design(p, q)
         assert calls == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.integers(-1000, 1000), q=st.integers(-1000, 0))
+    def test_scale_invariance_any_exponents(self, p, q):
+        """The same for any scale exponent in [-1000, 1000] and radius
+        exponent in [-1000, 0] whose sum is in [-1000, 1000], radii far
+        below the old window's end 1.5e-154 included. A positive q would
+        leave the Gaussian start inside the ball, unprojected, which
+        breaks the invariance."""
+        assume(abs(p + q) <= 1000)
+        _assert_scaled_design(p, q)
+
+
+def _assert_scaled_design(p, q):
+    """A 64-vertex design with scales times 2**p and epsilon times 2**q is
+    the unscaled one times 2**q, its nuclear norms times 2**(p + q)."""
+    W = _whitener(64, seed=12)
+    K = 8
+    eps = default_radius(64, K) / 2  # the Gaussian start is projected in both runs
+    base = design_sampling_operator(W, K, DesignConfig(epsilon=eps, seed=13))
+    scaled = design_sampling_operator(
+        VariationOperator(np.ldexp(W.values, p), W.basis), K,
+        DesignConfig(epsilon=math.ldexp(eps, q), seed=13),
+    )
+    assert base.converged and scaled.converged
+    assert scaled.iterations == base.iterations
+    np.testing.assert_array_equal(scaled.matrix, np.ldexp(base.matrix, q))
+    np.testing.assert_array_equal(scaled.frobenius_norms, np.ldexp(base.frobenius_norms, q))
+    np.testing.assert_array_equal(scaled.step_norms, np.ldexp(base.step_norms, q))
+    np.testing.assert_array_equal(scaled.nuclear_norms, np.ldexp(base.nuclear_norms, p + q))
 
 
 class TestRadiusWindow:
-    """epsilon must keep the square of S's norm a normal float, since
-    ``build_pipeline`` forms ``S.T F^-1 S``: at least sqrt(tiny), and at
-    most sqrt(max) / (1 + STEP_SCALE sqrt(K)), the window the unscaled loop
-    needed for its own squared norms."""
+    """epsilon has one rule of its own, that it be a finite normal float;
+    the loop and ``build_pipeline`` both run at unit scale, so beyond that
+    only ``_check_scale``'s product rule bounds it."""
 
-    @pytest.mark.parametrize("eps", [1e-300, 1e-158, 1e153, 1e300])
-    def test_refused_before_any_iteration(self, monkeypatch, eps):
-        """Outside the window the unscaled loop stopped at its start,
-        reported converged, or failed on an infinite norm partway through;
-        the unit-scale loop would run, and ``build_pipeline`` would then
-        overflow or fall back to the pseudo-inverse on S."""
+    def test_refused_before_any_iteration(self, monkeypatch):
+        """The smallest subnormal passes ``_check_scale`` with a whitener
+        near 1e300, and the loop then failed on a zero iterate, naming no
+        input; the normal-float floor refuses it before any iteration."""
 
         def refuse(M):
             raise AssertionError("a refused radius runs no iteration")
 
         monkeypatch.setattr(design_module, "_polar_factor", refuse)
-        window = r"^epsilon must lie in \[1\.49e-154, 4\.58e\+152\] for K=8"
-        with pytest.raises(ValueError, match=window):
-            design_sampling_operator(_whitener(64, seed=0), 8, DesignConfig(epsilon=eps))
+        W = build_variation_operator(
+            eigendecompose(laplacian(random_sensor_graph(64, 6, 0))),
+            SpectralResponse(1e-290, 1e-300),
+        ).whitener
+        _check_scale(float(W.values.max()), 5e-324, 8)
+        with pytest.raises(ValueError, match=r"^epsilon must be finite and at least 2\.23e-308, got 5e-324$"):
+            design_sampling_operator(W, 8, DesignConfig(epsilon=5e-324))
 
-    @pytest.mark.parametrize("eps", [1e-150, 1e152])
+    @pytest.mark.parametrize("eps", [1e-150, 1e152, 1e-300, 1e300])
     def test_window_ends_reach_certificate(self, eps):
-        """Just inside either end the loop still reaches the optimum
-        ``eps * ||d_(1..K)||`` within 1e-4, inside the ball."""
+        """Near and far past the ends of the old window the loop still
+        reaches the optimum ``eps * ||d_(1..K)||`` within 1e-4, inside the
+        ball. The ball is checked on ``S / eps``: ``||S||`` itself
+        underflows to 0 at 1e-300."""
         W = _whitener(64, seed=0)
         design = design_sampling_operator(W, 8, DesignConfig(epsilon=eps))
         assert design.converged
-        assert np.linalg.norm(design.matrix) <= eps * (1 + 1e-12)
+        assert np.linalg.norm(design.matrix / eps) <= 1 + 1e-12
         dense = dense_whitener(W)
         achieved = nuclear_norm(dense @ (design.matrix / eps))
         bound = np.linalg.norm(np.linalg.svd(dense, compute_uv=False)[:8])
@@ -559,9 +580,12 @@ class TestRadiusWindow:
 
     @pytest.mark.parametrize("n", [2, 64, 1024, 2**20, 2**40])
     def test_auto_radius_inside_window(self, n):
-        """sqrt(n K) is inside the window for every K < n up to n = 2**40."""
+        """sqrt(n K) is a radius, and inside ``_check_scale``'s window with
+        the default response, whose largest whitener scale is 1 / offset,
+        for every K < n up to n = 2**40."""
+        largest = 1.0 / SpectralResponse().offset
         for K in sorted({1, n // 2, n - 1}):
-            _check_epsilon(default_radius(n, K), K)
+            _check_scale(largest, DesignConfig(default_radius(n, K)).epsilon, K)
 
 
 class TestScaleWindow:
@@ -577,7 +601,7 @@ class TestScaleWindow:
         ids=["inf-nuclear-norm", "zero-nuclear-norm"],
     )
     def test_refused_before_any_iteration(self, monkeypatch, slope, offset, eps):
-        """Both radii are inside epsilon's own window, and the unscaled loop
+        """Both radii are finite normal floats, and the unscaled loop
         failed on them with an error that named no input: its Gram matrix
         overflowed (``Eigenvalues did not converge``), or its whitened
         iterate underflowed to the zero matrix."""
@@ -589,7 +613,6 @@ class TestScaleWindow:
         W = build_variation_operator(
             eigendecompose(laplacian(random_sensor_graph(64, 6, 0))), SpectralResponse(slope, offset)
         ).whitener
-        _check_epsilon(eps, 8)
         with pytest.raises(ValueError, match=self.WINDOW + r"3\.18e\+307\] for K=8"):
             design_sampling_operator(W, 8, DesignConfig(epsilon=eps))
 

@@ -708,17 +708,16 @@ class TestExperimentConfigFile:
             ("n 1\nk 3\n", "config key n: n must be at least 2, got 1"),
             (
                 "n 24\nk 4\ndesign.epsilon -1\n",
-                "config key design.epsilon: epsilon must be positive and finite, got -1.0",
+                "config key design.epsilon: epsilon must be finite and at least 2.23e-308, got -1.0",
             ),
             (
-                "n 24\nk 4\ndesign.epsilon 1e-300\n",
-                "config key design.epsilon: epsilon must lie in [1.49e-154, 6.38e+152] for K=4, "
-                "where the design loop's squared norms are normal floats, got 1e-300",
+                "n 24\nk 4\ndesign.epsilon 5e-324\n",
+                "config key design.epsilon: epsilon must be finite and at least 2.23e-308, "
+                "got 5e-324",
             ),
             (
-                "n 24\nk 4\ndesign.epsilon 1e300\n",
-                "config key design.epsilon: epsilon must lie in [1.49e-154, 6.38e+152] for K=4, "
-                "where the design loop's squared norms are normal floats, got 1e+300",
+                "n 24\nk 4\ndesign.epsilon 1e400\n",
+                "config key design.epsilon: epsilon must be finite and at least 2.23e-308, got inf",
             ),
             (
                 "n 24\nk 4\ndesign.max_iter 0\n",

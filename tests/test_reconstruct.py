@@ -1,8 +1,12 @@
 """Reconstruction pipeline against analytic cases and the KKT oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from helpers import dense_laplacian, dense_operator
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsamp import (
     SpectralResponse,
@@ -57,11 +61,13 @@ class TestBuildPipeline:
         np.testing.assert_allclose(p.correction, expected, rtol=1e-8, atol=1e-12 * scale)
 
     def test_prior_matrix_matches_dense_inverse(self):
-        """Dense inverse oracle for F^-1 S, F the prior's precision."""
+        """Dense inverse oracle for ``F^-1 S 2^-e``, F the prior's precision
+        and ``2^e`` the power of two that puts S's largest entry in [1, 2)."""
         vo = _sensor_operator(16, seed=1)
         rng = np.random.RandomState(1)
         S = rng.randn(16, 5)
-        expected = np.linalg.inv(dense_operator(vo)) @ S
+        e = math.frexp(np.abs(S).max())[1] - 1
+        expected = np.linalg.inv(dense_operator(vo)) @ np.ldexp(S, -e)
         p = build_pipeline(vo, S)
         np.testing.assert_allclose(p.prior_matrix, expected, rtol=1e-8, atol=1e-12)
 
@@ -95,6 +101,51 @@ class TestBuildPipeline:
         vo = _sensor_operator(12, seed=4)
         with pytest.raises(ValueError, match=r"at least one column, got shape \(12, 0\)"):
             build_pipeline(vo, np.zeros((12, 0)))
+
+
+def _scaled_estimate(vo, S, x, k):
+    """The pipeline of ``S 2^k`` applied to that matrix's samples of x."""
+    scaled = np.ldexp(S, k)
+    p = build_pipeline(vo, scaled)
+    assert not p.used_pseudo_inverse
+    np.testing.assert_array_equal(p.sampling_matrix, scaled)
+    return p.reconstruct(sample(scaled, x))
+
+
+class TestUnitScale:
+    """The pipeline is built on S divided by the power of two that puts its
+    largest entry in [1, 2), so the estimate does not depend on S's scale.
+    Formed at S's own scale, ``S.T F^-1 S`` underflowed at 2**-531 (a NaN
+    estimate) and overflowed at 2**531."""
+
+    @pytest.mark.parametrize("k", [-1000, -531, 531, 1000])
+    @pytest.mark.parametrize("route", ["spectral", "sparse"])
+    def test_power_of_two_scale(self, route, k):
+        """Bit-identical on the spectral route; within 1e-12 on the sparse one."""
+        g = random_sensor_graph(24, 6, seed=13)
+        response = SpectralResponse(1.0, 0.1)
+        if route == "spectral":
+            vo = build_variation_operator(eigendecompose(laplacian(g)), response)
+        else:
+            vo = build_sparse_variation_operator(laplacian(g), response)
+        rng = np.random.default_rng(13)
+        S, x = rng.standard_normal((24, 5)), rng.standard_normal(24)
+        base = _scaled_estimate(vo, S, x, 0)
+        got = _scaled_estimate(vo, S, x, k)
+        if route == "spectral":
+            np.testing.assert_array_equal(got, base)
+        else:
+            assert np.linalg.norm(got - base) <= 1e-12 * np.linalg.norm(base)
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(-1000, 1000))
+    def test_any_power_of_two(self, k):
+        vo = _sensor_operator(16, seed=14)
+        rng = np.random.default_rng(14)
+        S, x = rng.standard_normal((16, 4)), rng.standard_normal(16)
+        np.testing.assert_array_equal(
+            _scaled_estimate(vo, S, x, k), _scaled_estimate(vo, S, x, 0)
+        )
 
 
 class TestMatchedPrior:
@@ -177,6 +228,13 @@ class TestSample:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="match"):
             sample(np.zeros((4, 2)), np.zeros(5))
+
+    def test_overflowing_samples_refused(self):
+        """Finite S and x whose product overflows are refused, with no
+        RuntimeWarning on the way."""
+        S = np.full((4, 2), 1e150)
+        with pytest.raises(ValueError, match=r"^samples S\.T @ x are not finite$"):
+            sample(S, np.full(4, 1e160))
 
 
 class TestReconstruct:
