@@ -155,18 +155,15 @@ def _check_scale(largest: float, epsilon: float, num_samples: int) -> None:
     rounding, one would be written as inf, and below the lower one the
     converged trace would end in subnormals or 0. Near the lower bound an
     early iterate's nuclear norm can still be subnormal. The product is
-    compared through its exponents, so it is never formed.
+    formed on Python floats, which round it to inf or below ``tiny``
+    without a warning when it leaves the normal range, and both are refused.
     """
-    (a, f), (b, e) = math.frexp(largest), math.frexp(epsilon)
-    # largest * epsilon is a * b * 2**(f + e), with a * b in [0.25, 1)
-    low = math.frexp(a * b)[1] + f + e
-    high = math.frexp(a * b * math.sqrt(num_samples))[1] + f + e
-    limits = np.finfo(float)
-    if not (low > limits.minexp and high < limits.maxexp):
-        top = math.ldexp(1.0, limits.maxexp - 1) / math.sqrt(num_samples)
+    tiny = np.finfo(float).tiny
+    top = 2.0**1023 / math.sqrt(num_samples)
+    if not tiny <= float(largest) * float(epsilon) < top:
         raise ValueError(
             f"epsilon times the whitener's largest scale must lie in "
-            f"[{limits.tiny:.3g}, {top:.3g}] for K={num_samples}, where the optimal "
+            f"[{tiny:.3g}, {top:.3g}] for K={num_samples}, where the optimal "
             f"nuclear norm is a normal float, got {epsilon:g} times {largest:g}"
         )
 

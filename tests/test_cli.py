@@ -171,9 +171,11 @@ class TestDesignCommand:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {flag}: ")
 
-    def test_design_loop_error_names_no_flag(self, tmp_path, capsys, monkeypatch):
-        """Only the flags' own checks are prefixed: an error the design loop
-        raises is reported as it is."""
+    def test_design_loop_error_names_scale_flags(self, tmp_path, capsys, monkeypatch):
+        """An error the design loop raises is reported after the flags that
+        set its scale, as any ``build_pipeline`` error is after --sampling:
+        once the other flags' checks pass, the scale rule is the loop's
+        only refusal."""
 
         def fail(*args, **kwargs):
             raise ValueError("loop failed")
@@ -181,7 +183,9 @@ class TestDesignCommand:
         monkeypatch.setattr(graphsamp.cli, "design_sampling_operator", fail)
         rc = main(["design", "--n", "16", "--k", "4", "--out-dir", str(tmp_path)])
         assert rc == 1
-        assert capsys.readouterr().err == "error: loop failed\n"
+        assert capsys.readouterr().err == (
+            "error: --epsilon/--response-slope/--response-offset: loop failed\n"
+        )
 
     def test_tiny_response_designs_at_unit_scale(self, tmp_path, capsys):
         """A response of 1e-300 makes the whitener's scales about 1e300, whose

@@ -618,8 +618,8 @@ class TestScaleWindow:
 
     @pytest.mark.parametrize("K", [1, 4, 64])
     def test_bounds_are_exact(self, K):
-        """Each end is accepted and its neighbour outside refused, though
-        the product is never formed. At K = 1, 4 and 64 the top end
+        """Each end is accepted and its neighbour outside refused, on the
+        product as Python floats form it. At K = 1, 4 and 64 the top end
         ``2**1023 / sqrt(K)`` is a power of two, so it is exact too."""
         tiny = np.finfo(float).tiny
         top = math.ldexp(1.0, 1023) / math.sqrt(K)
