@@ -541,7 +541,7 @@ def _assert_scaled_design(p, q):
     np.testing.assert_array_equal(scaled.nuclear_norms, np.ldexp(base.nuclear_norms, p + q))
 
 
-class TestRadiusWindow:
+class TestRadiusFloor:
     """epsilon has one rule of its own, that it be a finite normal float;
     the loop and ``build_pipeline`` both run at unit scale, so beyond that
     only ``_check_scale``'s product rule bounds it."""
@@ -564,7 +564,7 @@ class TestRadiusWindow:
             design_sampling_operator(W, 8, DesignConfig(epsilon=5e-324))
 
     @pytest.mark.parametrize("eps", [1e-150, 1e152, 1e-300, 1e300])
-    def test_window_ends_reach_certificate(self, eps):
+    def test_extreme_radii_reach_certificate(self, eps):
         """Near and far past the ends of the old window the loop still
         reaches the optimum ``eps * ||d_(1..K)||`` within 1e-4, inside the
         ball. The ball is checked on ``S / eps``: ``||S||`` itself
@@ -579,7 +579,7 @@ class TestRadiusWindow:
         assert bound * (1 - 1e-4) <= achieved <= bound * (1 + 1e-12)
 
     @pytest.mark.parametrize("n", [2, 64, 1024, 2**20, 2**40])
-    def test_auto_radius_inside_window(self, n):
+    def test_auto_radius_meets_scale_rule(self, n):
         """sqrt(n K) is a radius, and inside ``_check_scale``'s window with
         the default response, whose largest whitener scale is 1 / offset,
         for every K < n up to n = 2**40."""
@@ -588,12 +588,12 @@ class TestRadiusWindow:
             _check_scale(largest, DesignConfig(default_radius(n, K)).epsilon, K)
 
 
-class TestScaleWindow:
+class TestScaleRule:
     """epsilon times max(d) must keep the optimal nuclear norm a normal
     float: at least tiny, and below 2**1023 / sqrt(K), since the optimal
     nuclear norm lies between that product and sqrt(K) times it."""
 
-    WINDOW = r"^epsilon times the whitener's largest scale must lie in \[2\.23e-308, "
+    RULE = r"^epsilon times the whitener's largest scale must lie in \[2\.23e-308, "
 
     @pytest.mark.parametrize(
         "slope, offset, eps",
@@ -613,7 +613,7 @@ class TestScaleWindow:
         W = build_variation_operator(
             eigendecompose(laplacian(random_sensor_graph(64, 6, 0))), SpectralResponse(slope, offset)
         ).whitener
-        with pytest.raises(ValueError, match=self.WINDOW + r"3\.18e\+307\] for K=8"):
+        with pytest.raises(ValueError, match=self.RULE + r"3\.18e\+307\] for K=8"):
             design_sampling_operator(W, 8, DesignConfig(epsilon=eps))
 
     @pytest.mark.parametrize("K", [1, 4, 64])
@@ -628,7 +628,7 @@ class TestScaleWindow:
             _check_scale(largest, low, K)
             _check_scale(largest, np.nextafter(high, 0.0), K)
             for eps in (np.nextafter(low, 0.0), high):
-                with pytest.raises(ValueError, match=self.WINDOW):
+                with pytest.raises(ValueError, match=self.RULE):
                     _check_scale(largest, eps, K)
 
 
