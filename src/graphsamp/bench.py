@@ -113,15 +113,24 @@ class ExperimentReport:
 
 
 def mse(x_hat: np.ndarray, x: np.ndarray) -> float:
-    """Mean squared error: squared distance divided by signal length."""
+    """Mean squared error: squared distance divided by signal length.
+
+    Raises:
+        ValueError: if the lengths differ, both are empty, or the squared
+            distance is not finite, as when the signals' scale overflows it.
+    """
     a = np.asarray(x_hat, dtype=float).ravel()
     b = np.asarray(x, dtype=float).ravel()
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     if a.size == 0:
         raise ValueError("x_hat and x are empty; mse needs at least one entry")
-    diff = a - b
-    return float(diff @ diff) / a.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = a - b
+        squared = float(diff @ diff)
+    if not math.isfinite(squared):
+        raise ValueError(f"the squared distance of x_hat and x is not finite, got {squared}")
+    return squared / a.size
 
 
 def random_vertex_selection(n: int, num_samples: int, seed: int) -> np.ndarray:

@@ -104,10 +104,12 @@ def _cmd_reconstruct(args) -> int:
     with _naming("--sampling/--signal"):
         samples = sample(S, x)
     x_hat = pipeline.reconstruct(samples)
+    with _naming("--signal"):
+        error = mse(x_hat, x)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_signal(x_hat, out / "x_hat.txt")
-    print(f"mse {mse(x_hat, x)!r}")
+    print(f"mse {error!r}")
     if pipeline.used_pseudo_inverse:
         print("note: correction used the pseudo-inverse fallback")
     return 0

@@ -55,6 +55,15 @@ class TestMse:
         with pytest.raises(ValueError, match="x_hat and x are empty"):
             mse(np.array([]), np.array([]))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e308])
+    def test_overflowing_distance_refused(self, scale):
+        """At 1e200 the square overflows, at 1e308 the difference itself;
+        either is refused, with no overflow warning, and not returned as inf."""
+        with pytest.raises(
+            ValueError, match=r"^the squared distance of x_hat and x is not finite, got inf$"
+        ):
+            mse(np.array([scale, 0.0]), np.array([-scale, 0.0]))
+
 
 class TestRandomVertexSelection:
     def test_square_case_is_permutation(self):

@@ -426,6 +426,62 @@ class TestReconstructCommand:
         assert "mse" not in captured.out
         assert not (tmp_path / "big").exists()
 
+    def test_overflowing_error_names_signal(self, tmp_path, graph_file, capsys):
+        """A signal at 1e200 is sampled and reconstructed, but its squared
+        error overflows; --signal is named and no x_hat.txt is written, where
+        ``mse inf`` was printed after an overflow warning."""
+        _, gpath = graph_file
+        rng = np.random.default_rng(6)
+        S, x = rng.standard_normal((24, 6)), rng.standard_normal(24) * 1e200
+        assert self._reconstruct(tmp_path, gpath, S, x, "huge") == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --signal: the squared distance of x_hat and x is not finite, got inf\n"
+        )
+        assert "mse" not in captured.out
+        assert not (tmp_path / "huge").exists()
+
+    def test_repeated_column_prints_pseudo_inverse_note(self, tmp_path, graph_file, capsys):
+        """Two identical columns make ``S.T F^-1 S`` singular, so the
+        correction is the pseudo-inverse and the command says so."""
+        _, gpath = graph_file
+        rng = np.random.default_rng(7)
+        S, x = rng.standard_normal((24, 6)), rng.standard_normal(24)
+        S[:, 5] = S[:, 4]
+        assert self._reconstruct(tmp_path, gpath, S, x, "twin") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("mse ")
+        assert lines[1:] == ["note: correction used the pseudo-inverse fallback"]
+        assert np.isfinite(load_signal(tmp_path / "twin" / "x_hat.txt")).all()
+
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [
+            ("--graph", "", "empty graph file"),
+            ("--graph", "\n  \n", "empty graph file"),
+            ("--signal", "", "empty signal file"),
+            ("--sampling", "", "expected '<rows> <cols>' header"),
+            ("--sampling", "24\n", "expected '<rows> <cols>' header"),
+        ],
+        ids=["graph", "graph-blank", "signal", "sampling", "sampling-one-token"],
+    )
+    def test_empty_or_headless_file_names_file(
+        self, tmp_path, graph_file, capsys, flag, text, message
+    ):
+        """A file with no content, or a matrix file whose header lacks a
+        dimension, is refused with the file named."""
+        _, gpath = graph_file
+        save_matrix(np.ones((24, 2)), tmp_path / "S.txt")
+        save_signal(np.ones(24), tmp_path / "x.txt")
+        paths = {"--graph": gpath, "--sampling": tmp_path / "S.txt", "--signal": tmp_path / "x.txt"}
+        paths[flag] = tmp_path / "bad.txt"
+        paths[flag].write_text(text)
+        argv = [arg for pair in paths.items() for arg in map(str, pair)]
+        rc = main(["reconstruct", *argv, "--out-dir", str(tmp_path / "rec")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / 'bad.txt'}: {message}\n"
+        assert not (tmp_path / "rec").exists()
+
     def test_sampling_matrix_without_columns_fails(self, tmp_path, graph_file, capsys):
         """An S.txt of shape 24 x 0 is reported by its shape, not a traceback."""
         _, gpath = graph_file
