@@ -132,9 +132,12 @@ def kkt_reconstruct(
 
     Solves ``argmin x.T F x subject to S.T x = c``, F the prior's
     precision, by assembling the saddle-point system
-    ``[[F, S], [S.T, 0]]`` and solving it directly. Slower than the
-    pipeline and sharing no machinery with it, so the two serve as
-    independent cross-checks.
+    ``[[F, U], [U.T, 0]]`` with right-hand side ``(0, c 2^-e)`` and
+    solving it directly, where ``U = S 2^-e`` for the exponent e of
+    ``build_pipeline``. Scaling the constraint leaves its solution x
+    as it is, and at unit scale the system is neither singular nor
+    inaccurate for an S far from 1. Slower than the pipeline and sharing
+    no machinery with it, so the two serve as independent cross-checks.
 
     Raises:
         ValueError: if the KKT system is singular (degenerate sampling
@@ -151,12 +154,13 @@ def kkt_reconstruct(
     k = S.shape[1]
     if c.shape != (k,):
         raise ValueError(f"expected {k} samples, got shape {c.shape}")
+    e = int(np.frexp(np.abs(S).max(initial=0.0))[1]) - 1
     kkt = np.zeros((n + k, n + k))
     kkt[:n, :n] = (vo.basis * vo.values) @ vo.basis.T  # F
-    kkt[:n, n:] = S
-    kkt[n:, :n] = S.T
+    kkt[:n, n:] = np.ldexp(S, -e)
+    kkt[n:, :n] = kkt[:n, n:].T
     rhs = np.zeros(n + k)
-    rhs[n:] = c
+    rhs[n:] = np.ldexp(c, -e)
     try:
         solution = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError as exc:

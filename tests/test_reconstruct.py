@@ -331,6 +331,24 @@ class TestKktReconstruct:
                 assert np.linalg.norm(S.T @ y - c) <= 1e-8 * max(np.linalg.norm(c), 1.0)
                 assert base <= y @ F @ y + 1e-12 * base
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e160, 1e-300, 1e300])
+    def test_matches_pipeline_far_from_unit_scale(self, scale):
+        """Built on ``S 2^-e``, the oracle gives its answer for S at any
+        scale of S, and the pipeline's. Assembled at S's own scale it was
+        0.75 (relative) off at 1e-160 and refused 1e-300 as singular."""
+        vo = _sensor_operator(64, seed=1)
+        rng = np.random.RandomState(15)
+        S = rng.randn(64, 8)
+        S /= np.linalg.norm(S)
+        x = rng.randn(64)
+        base = kkt_reconstruct(vo, S, sample(S, x))
+        scaled = S * scale
+        c = sample(scaled, x)
+        oracle = kkt_reconstruct(vo, scaled, c)
+        estimate = build_pipeline(vo, scaled).reconstruct(c)
+        assert np.linalg.norm(oracle - base) <= 1e-12 * np.linalg.norm(base)
+        assert np.linalg.norm(estimate - oracle) <= 1e-12 * np.linalg.norm(base)
+
     def test_degenerate_sampling_rejected(self):
         vo = _identity_operator(4)
         S = np.zeros((4, 2))
