@@ -135,9 +135,9 @@ def kkt_reconstruct(
     ``[[F, U], [U.T, 0]]`` with right-hand side ``(0, c 2^-e)`` and
     solving it directly, where ``U = S 2^-e`` for the exponent e of
     ``build_pipeline``. Scaling the constraint leaves its solution x
-    as it is, and at unit scale the system is neither singular nor
-    inaccurate for an S far from 1. Slower than the pipeline and sharing
-    no machinery with it, so the two serve as independent cross-checks.
+    as it is, so an S far from unit scale makes the system neither
+    singular nor inaccurate. Slower than the pipeline and sharing no
+    machinery with it, so the two serve as independent cross-checks.
 
     Raises:
         ValueError: if the KKT system is singular (degenerate sampling
